@@ -8,7 +8,6 @@ discord, and the short-time entanglement-generation witness.
 from .correlations import (
     CorrelationSample,
     MeasurementAngles,
-    conditional_entropy,
     discord,
     mutual_information,
     negativity,
@@ -70,7 +69,6 @@ __all__ = [
     "WitnessReport",
     "apply_liouvillian",
     "build_liouvillian",
-    "conditional_entropy",
     "discord",
     "dxi0_from_generator",
     "dxi0_general",

@@ -8,8 +8,12 @@ from contextlib import contextmanager
 
 
 def fmt(x: float) -> str:
-    """Fixed 12-significant-digit float rendering ('.' decimal separator)."""
-    return f"{float(x):.12g}"
+    """Fixed 12-significant-digit float rendering ('.' decimal separator).
+
+    Negative zero renders as ``0``, the same as positive zero.
+    """
+    x = float(x)
+    return f"{0.0 if x == 0.0 else x:.12g}"
 
 
 @contextmanager

@@ -1,139 +1,98 @@
-"""Hot kernel for the discord measurement scan, with numba and numpy paths.
+"""Batched kernel for the discord measurement search.
 
-Computing discord means minimizing the measured conditional entropy over a
-dense grid of projector axes, for every trajectory sample or heatmap cell;
-this grid evaluation dominates the package's runtime.  Both backends
-implement the same math:
+Discord minimizes, over Bloch axes ``n`` of the HO side, the entropy of Q
+left after measuring HO with the projectors ``(1 +- n.sigma)/2``.  The two
+unnormalized conditional Q states are
 
-  for each Bloch axis (theta, phi), measure the HO side with
-  ``|n0> = cos(theta/2)|0> + e^(i phi) sin(theta/2)|1>`` and its orthogonal
-  complement, and accumulate ``sum_i p_i S(rho_Q|i)`` in bits, where a 2x2
-  conditional state's eigenvalues come from the closed trace/determinant
-  form.  Outcomes with probability below 1e-12 contribute zero.
+    M_+- = Tr_HO[(1 (x) (1 +- n.sigma)/2) rho] = (rho_Q +- n.T)/2,
+    T_j = Tr_HO[(1 (x) sigma_j) rho],
 
-Backend selection: the environment variable ``BATHLINK_KERNEL_BACKEND`` set
-to ``numpy`` forces the vectorized pure-numpy fallback, ``numba`` demands
-the JIT kernel (error if numba is missing), anything else (or unset) uses
-numba when importable.  ``benchmarks/bench_discord.py`` compares the two.
+which are linear in ``n``.  So each state needs only ``rho_Q`` and the three
+``T_j`` (:func:`measurement_operators`), and a whole stack of states and a
+whole set of axes go through one array program.  The eigenvalues of each
+2x2 ``M`` come from its trace ``p`` and determinant: the larger one is
+``(p + sqrt(p^2 - 4 det))/2`` and the smaller one ``det`` divided by the
+larger, which keeps nearly pure conditional states accurate.  The measured
+conditional entropy ``sum_+- p_+- S(M_+- / p_+-)`` is in bits, and outcomes
+with probability below 1e-12 contribute zero.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_ENV_VAR = "BATHLINK_KERNEL_BACKEND"
 _P_FLOOR = 1e-12
+#: States per grid-scan block: the scan's temporaries stay near 1 MB whatever
+#: the length of the stack.
+_CHUNK = 8
 
-try:
-    from numba import njit
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _NUMBA_OK = False
-
-
-def conditional_entropy_grid_numpy(
-    rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray
-) -> np.ndarray:
-    """Vectorized fallback; returns an (n_theta, n_phi) grid in bits."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    c = np.cos(th / 2.0).ravel()
-    s = np.sin(th / 2.0).ravel()
-    e = np.exp(1j * ph.ravel())
-    kets = (
-        np.stack([c.astype(complex), s * e], axis=1),
-        np.stack([s.astype(complex), -c * e], axis=1),
-    )
-    out = np.zeros(c.size)
-    for n in kets:
-        m = np.einsum("gh,qhpk,gk->gqp", n.conj(), r, n)
-        p = np.einsum("gqq->g", m).real
-        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real
-        disc = np.sqrt(np.maximum(p * p - 4.0 * det, 0.0))
-        lam = np.stack([(p - disc) / 2.0, (p + disc) / 2.0], axis=1)
-        safe_p = np.where(p > _P_FLOOR, p, 1.0)[:, None]
-        frac = np.clip(lam / safe_p, 0.0, 1.0)
-        terms = np.where(frac > 0.0, frac * np.log2(np.where(frac > 0.0, frac, 1.0)), 0.0)
-        out += np.where(p > _P_FLOOR, -p * terms.sum(axis=1), 0.0)
-    return out.reshape(thetas.size, phis.size)
-
-
-if _NUMBA_OK:
-
-    @njit(cache=True)
-    def _cond_entropy_grid_numba(rho, thetas, phis):  # pragma: no cover - jitted
-        nt = thetas.size
-        nph = phis.size
-        out = np.zeros((nt, nph))
-        inv_ln2 = 1.0 / math.log(2.0)
-        for it in range(nt):
-            ch = math.cos(thetas[it] / 2.0)
-            sh = math.sin(thetas[it] / 2.0)
-            for ip in range(nph):
-                e = complex(math.cos(phis[ip]), math.sin(phis[ip]))
-                total = 0.0
-                for outcome in range(2):
-                    if outcome == 0:
-                        n0 = complex(ch, 0.0)
-                        n1 = sh * e
-                    else:
-                        n0 = complex(sh, 0.0)
-                        n1 = -ch * e
-                    m00 = complex(0.0, 0.0)
-                    m01 = complex(0.0, 0.0)
-                    m11 = complex(0.0, 0.0)
-                    for h in range(2):
-                        nh = n0 if h == 0 else n1
-                        for k in range(2):
-                            nk = n0 if k == 0 else n1
-                            w = nh.conjugate() * nk
-                            m00 += w * rho[h, k]
-                            m01 += w * rho[h, 2 + k]
-                            m11 += w * rho[2 + h, 2 + k]
-                    p = m00.real + m11.real
-                    if p <= _P_FLOOR:
-                        continue
-                    det = m00.real * m11.real - (m01.real**2 + m01.imag**2)
-                    disc2 = p * p - 4.0 * det
-                    disc = math.sqrt(disc2) if disc2 > 0.0 else 0.0
-                    for lam in ((p - disc) / 2.0, (p + disc) / 2.0):
-                        f = lam / p
-                        if f > 0.0:
-                            if f > 1.0:
-                                f = 1.0
-                            total -= p * f * math.log(f) * inv_ln2
-                out[it, ip] = total
-        return out
-
-
-def numba_available() -> bool:
-    return _NUMBA_OK
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
 
 
 def active_backend() -> str:
-    """Resolve the backend name ('numba' or 'numpy') from the environment."""
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _NUMBA_OK:
-            raise RuntimeError(f"{_ENV_VAR}=numba requested but numba is not importable")
-        return "numba"
-    return "numba" if _NUMBA_OK else "numpy"
+    """Name of the kernel implementation (there is one: vectorized numpy)."""
+    return "numpy"
+
+
+def measurement_operators(states: np.ndarray) -> np.ndarray:
+    """``rho_Q, T_x, T_y, T_z`` of each state as (N, 4, 4) real entries.
+
+    Row ``a`` holds ``(O00, O11, Re O01, Im O01)`` of ``O = Tr_HO[(1 (x)
+    sigma_a) rho]`` with ``sigma_0 = 1``, so ``O_0 = rho_Q``.
+    """
+    r = np.asarray(states, dtype=complex).reshape(-1, 2, 2, 2, 2)
+    ops = np.einsum("akh,nqhpk->naqp", _PAULI, r)
+    return np.stack(
+        [ops[..., 0, 0].real, ops[..., 1, 1].real, ops[..., 0, 1].real, ops[..., 0, 1].imag],
+        axis=-1,
+    )
+
+
+def bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Unit vectors ``(sin t cos p, sin t sin p, cos t)`` stacked on a last axis."""
+    s = np.sin(thetas)
+    return np.stack([s * np.cos(phis), s * np.sin(phis), np.cos(thetas)], axis=-1)
+
+
+def conditional_entropy(ops: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Measured conditional entropy (bits) of each state along each axis.
+
+    ``ops`` is the (N, 4, 4) output of :func:`measurement_operators`;
+    ``axes`` holds unit vectors, either (K, 3) shared by every state or
+    (N, K, 3) per state.  Returns (N, K).
+    """
+    total = 0.0
+    for sign in (1.0, -1.0):
+        m = (ops[:, None, 0, :] + sign * (axes @ ops[:, 1:, :])) / 2.0
+        p = m[..., 0] + m[..., 1]
+        det = m[..., 0] * m[..., 1] - m[..., 2] ** 2 - m[..., 3] ** 2
+        big = (p + np.sqrt(np.maximum(p * p - 4.0 * det, 0.0))) / 2.0
+        live = p > _P_FLOOR
+        safe_p = np.where(live, p, 1.0)
+        hi = np.clip(big / safe_p, 0.0, 1.0)
+        lo = np.clip(det / np.where(live, big, 1.0) / safe_p, 0.0, 1.0)
+        terms = sum(np.where(f > 0.0, f * np.log2(np.where(f > 0.0, f, 1.0)), 0.0) for f in (hi, lo))
+        total = total - np.where(live, p * terms, 0.0)
+    return total
 
 
 def conditional_entropy_grid(
-    rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray
+    states: np.ndarray, thetas: np.ndarray, phis: np.ndarray
 ) -> np.ndarray:
-    """Measured conditional entropy over the axis grid, via the active backend."""
-    thetas = np.ascontiguousarray(thetas, dtype=float)
-    phis = np.ascontiguousarray(phis, dtype=float)
-    if active_backend() == "numba":
-        return _cond_entropy_grid_numba(
-            np.ascontiguousarray(rho, dtype=complex), thetas, phis
-        )
-    return conditional_entropy_grid_numpy(rho, thetas, phis)
+    """Measured conditional entropy of an (N, 4, 4) stack over a Bloch-angle grid.
+
+    Returns an (N, n_theta, n_phi) array in bits, computed ``_CHUNK`` states
+    at a time.
+    """
+    states = np.asarray(states, dtype=complex)
+    th, ph = np.meshgrid(np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float),
+                         indexing="ij")
+    axes = bloch_axes(th.ravel(), ph.ravel())
+    out = np.empty((states.shape[0], th.size))
+    for start in range(0, states.shape[0], _CHUNK):
+        block = states[start:start + _CHUNK]
+        out[start:start + _CHUNK] = conditional_entropy(measurement_operators(block), axes)
+    return out.reshape(states.shape[0], *th.shape)

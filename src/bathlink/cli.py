@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -120,6 +121,11 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
             raise ConfigError(f"config error: --{name.replace('_', '-')} is required")
 
 
+def _check_t_max(t_max: float) -> None:
+    if not math.isfinite(t_max) or t_max < 0:
+        raise ConfigError(f"config error: --t-max must be finite and >= 0, got {t_max}")
+
+
 def _write_table(path: str, fmt_kind: str, columns: list[str], rows: list[list[float]]) -> None:
     if fmt_kind == "json":
         payload = {"columns": columns, "rows": [[float(fmt(x)) for x in row] for row in rows]}
@@ -152,8 +158,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     samples = 400 if args.samples is None else args.samples
     if samples < 1:
         raise ConfigError(f"config error: --samples must be >= 1, got {samples}")
-    if args.t_max < 0:
-        raise ConfigError(f"config error: --t-max must be >= 0, got {args.t_max}")
+    _check_t_max(args.t_max)
     rho0 = product_state(args.p, args.q)
     liou = build_liouvillian(params)
     method = args.method or "exact"
@@ -165,18 +170,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError("config error: --steps applies only to --method rk4")
         times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)
         traj = evolve_exact(liou, rho0, times)
-    rows = []
-    for t, rho in zip(traj.times, traj.states):
-        sample = discord(rho)
-        rows.append([
-            t,
-            sample.negativity,
-            sample.mutual_info,
-            sample.discord,
-            sample.classical_corr,
-            float(np.trace(rho).real),
-            float(np.linalg.eigvalsh(rho).min()),
-        ])
+    measured = discord(traj.states)
+    traces = np.trace(traj.states, axis1=1, axis2=2).real
+    min_eigs = np.linalg.eigvalsh(traj.states).min(axis=1)
+    rows = [
+        [t, s.negativity, s.mutual_info, s.discord, s.classical_corr, tr, me]
+        for t, s, tr, me in zip(traj.times, measured, traces, min_eigs)
+    ]
     columns = ["t", "negativity", "mutual_info", "discord", "classical_corr", "trace", "min_eig"]
     _write_table(args.out, args.format or "csv", columns, rows)
     if args.states_out:
@@ -206,11 +206,12 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     _require(args, ["p", "q", "t_max", "observable", "axis"])
     samples = 400 if args.samples is None else args.samples
+    _check_t_max(args.t_max)
     values = _axis_values(args)
     measures = {
         "negativity": negativity,
         "mutual_info": mutual_information,
-        "discord": lambda rho: discord(rho).discord,
+        "discord": lambda states: [s.discord for s in discord(states)],
     }
     if args.observable not in measures:
         raise ConfigError(f"config error: unknown observable {args.observable!r}")
@@ -243,8 +244,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
             )
         liou = build_liouvillian(params)
         traj = evolve_exact(liou, rho0, times)
-        for t, rho in zip(traj.times, traj.states):
-            rows.append([t, value, measure(rho)])
+        rows.extend([t, value, x] for t, x in zip(traj.times, measure(traj.states)))
     _write_table(args.out, args.format or "csv", ["t", "axis_value", "observable"], rows)
     return 0
 
@@ -452,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalInvariantError as exc:
         print(f"numerical invariant failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,32 +57,32 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
-    """Transpose the HO (second) index of a 4x4 pair operator.
+    """Transpose the HO (second) index of 4x4 pair operators (last two axes).
 
     The four 2x2 blocks indexed by the Q part are each transposed in place,
     which preserves Hermiticity and the trace and is an involution.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial transpose expects a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
-    return np.ascontiguousarray(r.transpose(0, 3, 2, 1)).reshape(4, 4)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"partial transpose expects 4x4 matrices, got {rho.shape}")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return np.ascontiguousarray(r.swapaxes(-3, -1)).reshape(rho.shape)
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduce a 4x4 pair state to one 2x2 factor.
+    """Reduce 4x4 pair states (last two axes) to one 2x2 factor.
 
     ``keep="first"`` sums over the HO index and returns the Q state;
     ``keep="second"`` sums over the Q index and returns the HO state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial trace expects a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"partial trace expects 4x4 matrices, got {rho.shape}")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == "first":
-        return np.einsum("qhph->qp", r)
+        return np.einsum("...qhph->...qp", r)
     if keep == "second":
-        return np.einsum("qhqk->hk", r)
+        return np.einsum("...qhqk->...hk", r)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 

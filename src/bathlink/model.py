@@ -67,8 +67,8 @@ def rates_from_temperature(zeta: float, temperature: float) -> tuple[float, floa
     """
     if zeta <= 0:
         raise ConfigError(f"zeta must be > 0, got {zeta}")
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
     denom = math.expm1(1.0 / temperature)  # e^(1/T) - 1
     gamma2 = zeta / denom
     gamma1 = gamma2 + zeta
@@ -93,6 +93,9 @@ class ModelParams:
     temperature: float | None = None
 
     def __post_init__(self):
+        for name in ("omega", "zeta", "gamma1", "gamma2", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega <= 0:
             raise ConfigError(f"omega must be > 0, got {self.omega}")
         if self.zeta <= 0:

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from bathlink import ModelParams, build_liouvillian, discord
+from bathlink import ModelParams, build_liouvillian
 
 
 @pytest.fixture(scope="session")
@@ -13,8 +12,3 @@ def canonical_params():
 def canonical_liouvillian(canonical_params):
     return build_liouvillian(canonical_params)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_discord_kernel():
-    # one throwaway call so JIT compilation does not land in timed tests
-    discord(np.eye(4, dtype=complex) / 4.0, grid_size=4)

@@ -6,6 +6,7 @@ tested are derived along a different route than the code under test.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
 from bathlink.matops import matrix_exp, partial_transpose_second
 
@@ -65,6 +66,76 @@ def bell_diagonal_discord(rho):
         (1 + s * c) / 2 * np.log2(1 + s * c) for s in (+1, -1) if 1 + s * c > 1e-15
     )
     return mutual - classical
+
+
+def _entropy_bits(rho):
+    """Von Neumann entropies (bits) of Hermitian matrices on the last two axes."""
+    eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    logs = np.log2(np.where(eigs > 0.0, eigs, 1.0))
+    return -(eigs * logs).sum(axis=-1)
+
+
+def _projectors(theta, phi):
+    """Both outcome projectors of each axis, stacked as (..., 2, 2, 2)."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
+    kets = np.stack([np.stack([c + 0j, s * e], axis=-1), np.stack([s + 0j, -c * e], axis=-1)],
+                    axis=-2)
+    return kets[..., :, None] * kets[..., None, :].conj()
+
+
+def measurement_projectors(angles):
+    """The two rank-1 projectors of the measured HO axis (they sum to identity)."""
+    proj = _projectors(angles.theta, angles.phi)
+    return proj[..., 0, :, :], proj[..., 1, :, :]
+
+
+def _conditional_entropies(rho, theta, phi):
+    """``sum_i p_i S(rho_Q | outcome i)`` for every axis in the (theta, phi) arrays.
+
+    Each outcome's Q state ``Tr_HO[(1 (x) P_i) rho]`` is contracted from the
+    projector entries, and its entropy comes from an eigensolver.  Outcomes
+    with probability below 1e-12 contribute zero.
+    """
+    # rows (h, k), columns (q, p): Tr_HO[(1 (x) P) rho][q, p] = sum_hk P[k, h] rho[qh, pk]
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+    proj = _projectors(theta, phi)
+    m = (proj.swapaxes(-1, -2).reshape(proj.shape[:-2] + (4,)) @ r).reshape(proj.shape)
+    p = (m[..., 0, 0] + m[..., 1, 1]).real
+    live = p > 1e-12
+    cond = m / np.where(live, p, 1.0)[..., None, None]
+    return np.where(live, p * _entropy_bits(cond), 0.0).sum(axis=-1)
+
+
+def conditional_entropy(rho, angles):
+    """Measured conditional entropy (bits) along one axis with ``.theta``/``.phi``."""
+    return float(_conditional_entropies(rho, angles.theta, angles.phi))
+
+
+def reference_discord(rho):
+    """``(discord, classical_corr)`` by a full-sphere angle grid plus Nelder-Mead.
+
+    The classical correlation ``S(rho_Q) - min S(rho_Q | measurement)`` is
+    maximized over a 64x64 grid of Bloch angles (theta in [0, pi]), then the
+    best grid point is refined with Nelder-Mead; the refined value is kept
+    only when it improves on the grid.
+    """
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    s_q = float(_entropy_bits(np.einsum("qhph->qp", r)))
+    s_ho = float(_entropy_bits(np.einsum("qhqk->hk", r)))
+    mutual = s_q + s_ho - float(_entropy_bits(np.asarray(rho, dtype=complex)))
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi, 64),
+                         np.linspace(0.0, 2 * np.pi, 64, endpoint=False), indexing="ij")
+    grid = _conditional_entropies(rho, th, ph)
+    k = int(np.argmin(grid))
+    res = minimize(
+        lambda x: float(_conditional_entropies(rho, x[0], x[1])),
+        x0=np.array([th.flat[k], ph.flat[k]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-9, "maxiter": 600},
+    )
+    classical = s_q - min(float(res.fun), float(grid.flat[k]))
+    return mutual - classical, classical
 
 
 def eta1_asymptotic_state(gamma1, gamma2, rho0):

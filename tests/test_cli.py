@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bathlink.cli import main
+
+REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "simulate_x.csv"
 
 CANON = ["--gamma1", "1.01", "--gamma2", "0.01", "--omega", "0.001"]
 
@@ -108,6 +111,47 @@ def test_simulate_stability_failure_leaves_no_file(tmp_path, capsys):
     assert code == 3
     assert "numerical invariant failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_canonical_matches_reference(tmp_path):
+    # the README's canonical run against its stored output
+    out = tmp_path / "run.csv"
+    assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
+                 "--t-max", "6", "--samples", "400", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    ref_header, ref_rows = read_csv(REFERENCE_CSV)
+    assert header == ref_header
+    assert np.abs(np.array(rows) - np.array(ref_rows)).max() <= 1e-12
+
+
+def test_simulate_rejects_non_finite_t_max(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for value in ("nan", "inf"):
+        assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
+                     "--t-max", value, "--out", str(out)]) == 2
+        assert "--t-max must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_non_finite_params(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    base = ["simulate", "--p", "1", "--q", "0", "--t-max", "1", "--out", str(out)]
+    assert main([*base, "--gamma1", "nan", "--gamma2", "0.01", "--eta", "1",
+                 "--omega", "0.001"]) == 2
+    assert "gamma1 must be finite" in capsys.readouterr().err
+    assert main([*base, *CANON, "--eta", "inf"]) == 2
+    assert "eta must be finite" in capsys.readouterr().err
+    assert main([*base, "--temperature", "inf", "--eta", "1", "--omega", "0.001"]) == 2
+    assert "temperature must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_missing_output_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
+                 "--t-max", "1", "--samples", "2", "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 # ----------------------------------------------------------------- heatmap
@@ -322,6 +366,28 @@ def test_module_entrypoint_help():
     for flag in ("--gamma1", "--gamma2", "--temperature", "--zeta", "--eta",
                  "--omega", "--out", "--format", "--p", "--q", "--t-max"):
         assert flag in result.stdout
+
+
+def test_cli_import_skips_optimizer_and_jit():
+    code = ("import sys, bathlink.cli\n"
+            "print(sorted(m for m in ('scipy.optimize', 'numba') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_heatmap_discord_matches_simulate(tmp_path):
+    out = tmp_path / "heat.csv"
+    assert main(["heatmap", *CANON, "--observable", "discord",
+                 "--axis", "eta", "--axis-values", "0,1",
+                 "--p", "1", "--q", "0", "--t-max", "1", "--samples", "4",
+                 "--out", str(out)]) == 0
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
+                 "--t-max", "1", "--samples", "4", "--out", str(sim)]) == 0
+    _, rows = read_csv(out)
+    _, sim_rows = read_csv(sim)
+    assert [r[2] for r in rows if r[1] == 1.0] == [r[3] for r in sim_rows]
 
 
 def test_json_only_commands_reject_csv(tmp_path, capsys):
