@@ -1,7 +1,8 @@
-"""Deterministic text formatting for emitted data files."""
+"""Deterministic text formatting and atomic writing of emitted data files."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -34,3 +35,26 @@ def atomic_write(path: str):
         except OSError:
             pass
         raise
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as sorted, two-space-indented JSON plus a newline."""
+    with atomic_write(path) as f:
+        json.dump(payload, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
+def write_table(path: str, kind: str, columns: list[str], rows) -> None:
+    """Write a numeric table as CSV (``kind="csv"``) or JSON (``kind="json"``).
+
+    Every cell goes through :func:`fmt`: CSV cells are its text, JSON cells
+    the float it denotes, under ``{"columns": [...], "rows": [[...], ...]}``.
+    """
+    if kind == "json":
+        write_json(path, {"columns": columns,
+                          "rows": [[float(fmt(x)) for x in row] for row in rows]})
+        return
+    with atomic_write(path) as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(fmt(x) for x in row) + "\n")

@@ -17,9 +17,15 @@ import sys
 
 import numpy as np
 
-from ._format import atomic_write, fmt
+from ._format import write_json, write_table
 from .correlations import discord, mutual_information, negativity
-from .dynamics import evolve_exact, evolve_rk, product_state, trajectory_to_csv
+from .dynamics import (
+    DEFAULT_SAMPLES,
+    evolve_exact,
+    evolve_rk,
+    product_state,
+    trajectory_to_csv,
+)
 from .errors import ConfigError, NumericalInvariantError
 from .matops import matrix_to_dict, trace_norm
 from .model import (
@@ -66,8 +72,13 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats=("csv", "json")) 
                              "command line is an error")
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from --config; the same key in both is an error."""
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from --config; the same key in both is an error.
+
+    Each value is parsed as the command line would parse its text, with the
+    flag's own ``type`` and ``choices``; a ``store_true`` flag takes only a
+    JSON boolean.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -77,16 +88,36 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("--config must contain a JSON object")
+    flags = {a.dest: a for a in parser._actions if a.option_strings}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in ("config", "out"):
+        if attr not in flags or attr in ("config", "out", "help"):
             raise ConfigError(f"config error: unknown config key {key!r}")
         current = getattr(args, attr)
         if current is not None and current is not False:
             raise ConfigError(
                 f"config error: {key!r} given both on the command line and in --config"
             )
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(key, value, flags[attr]))
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """``value`` parsed as the command-line text of the flag ``action``."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config error: {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, (bool, dict, list)) or value is None:
+        raise ConfigError(f"config error: {key!r} must be a number or a string, got {value!r}")
+    try:
+        parsed = action.type(str(value)) if action.type else str(value)
+    except ValueError as exc:
+        raise ConfigError(f"config error: {key!r}: invalid value {value!r}") from exc
+    if action.choices is not None and parsed not in action.choices:
+        raise ConfigError(
+            f"config error: {key!r} must be one of {', '.join(action.choices)}, got {value!r}"
+        )
+    return parsed
 
 
 def _resolve_params(args: argparse.Namespace, eta: float | None = None) -> ModelParams:
@@ -126,28 +157,11 @@ def _check_t_max(t_max: float) -> None:
         raise ConfigError(f"config error: --t-max must be finite and >= 0, got {t_max}")
 
 
-def _write_table(path: str, fmt_kind: str, columns: list[str], rows: list[list[float]]) -> None:
-    if fmt_kind == "json":
-        payload = {"columns": columns, "rows": [[float(fmt(x)) for x in row] for row in rows]}
-        with atomic_write(path) as f:
-            json.dump(payload, f, sort_keys=True, indent=2)
-            f.write("\n")
-    else:
-        with atomic_write(path) as f:
-            f.write(",".join(columns) + "\n")
-            for row in rows:
-                f.write(",".join(fmt(x) for x in row) + "\n")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with atomic_write(path) as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
-def _json_only_format(args: argparse.Namespace, command: str) -> None:
-    if args.format not in (None, "json"):
-        raise ConfigError(f"config error: {command} emits JSON only; drop --format {args.format}")
+def _samples(args: argparse.Namespace) -> int:
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    if samples < 1:
+        raise ConfigError(f"config error: --samples must be >= 1, got {samples}")
+    return samples
 
 
 # ---------------------------------------------------------------- simulate
@@ -155,9 +169,7 @@ def _json_only_format(args: argparse.Namespace, command: str) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     _require(args, ["p", "q", "t_max"])
-    samples = 400 if args.samples is None else args.samples
-    if samples < 1:
-        raise ConfigError(f"config error: --samples must be >= 1, got {samples}")
+    samples = _samples(args)
     _check_t_max(args.t_max)
     rho0 = product_state(args.p, args.q)
     liou = build_liouvillian(params)
@@ -178,7 +190,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for t, s, tr, me in zip(traj.times, measured, traces, min_eigs)
     ]
     columns = ["t", "negativity", "mutual_info", "discord", "classical_corr", "trace", "min_eig"]
-    _write_table(args.out, args.format or "csv", columns, rows)
+    write_table(args.out, args.format or "csv", columns, rows)
     if args.states_out:
         trajectory_to_csv(traj, args.states_out)
     return 0
@@ -205,7 +217,7 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     _require(args, ["p", "q", "t_max", "observable", "axis"])
-    samples = 400 if args.samples is None else args.samples
+    samples = _samples(args)
     _check_t_max(args.t_max)
     values = _axis_values(args)
     measures = {
@@ -245,7 +257,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         liou = build_liouvillian(params)
         traj = evolve_exact(liou, rho0, times)
         rows.extend([t, value, x] for t, x in zip(traj.times, measure(traj.states)))
-    _write_table(args.out, args.format or "csv", ["t", "axis_value", "observable"], rows)
+    write_table(args.out, args.format or "csv", ["t", "axis_value", "observable"], rows)
     return 0
 
 
@@ -263,18 +275,15 @@ def _cmd_region(args: argparse.Namespace) -> int:
         confirm_tau=1e-4 if args.tau is None else args.tau,
     )
     if (args.format or "csv") == "json":
-        with atomic_write(args.out) as f:
-            f.write(scan.to_json())
-            f.write("\n")
+        write_json(args.out, scan.to_dict())
     else:
-        scan.to_csv(args.out)
+        write_table(args.out, "csv", *scan.table())
     return 0
 
 
 # ------------------------------------------------------------ steady-state
 
 def _cmd_steady_state(args: argparse.Namespace) -> int:
-    _json_only_format(args, "steady-state")
     params = _resolve_params(args)
     mode = args.mode or "both"
     payload: dict = {"params": params.to_dict(), "mode": mode}
@@ -301,14 +310,13 @@ def _cmd_steady_state(args: argparse.Namespace) -> int:
         payload["null_space_dim"] = numeric.null_space_dim
     if analytic is not None and numeric is not None:
         payload["trace_norm_difference"] = trace_norm(analytic - numeric.state)
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return 0
 
 
 # ----------------------------------------------------------------- witness
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    _json_only_format(args, "witness")
     params = _resolve_params(args)
     kappa_mode = args.kappa1 is not None or args.kappa3 is not None
     pq_mode = args.p is not None or args.q is not None
@@ -342,7 +350,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         payload["excess"] = excess
         if args.roots:
             raise ConfigError("config error: --roots applies to the kappa form only")
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return 0
 
 
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--states-out", default=None,
                        help="also write the raw state trajectory CSV here")
     _add_output_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 
     p_heat = sub.add_parser("heatmap", help="observable on a (time x eta) or "
                                             "(time x temperature) grid")
@@ -394,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--samples", type=int, default=None,
                         help="uniform sampling intervals per sweep value (default 400)")
     _add_output_flags(p_heat)
-    p_heat.set_defaults(func=_cmd_heatmap)
+    p_heat.set_defaults(func=_cmd_heatmap, parser=p_heat)
 
     p_reg = sub.add_parser("region", help="entangling verdict over a (p, q) grid")
     _add_param_flags(p_reg)
@@ -408,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--seed", type=int, default=None,
                        help="RNG seed for the spot checks (default 0)")
     _add_output_flags(p_reg)
-    p_reg.set_defaults(func=_cmd_region)
+    p_reg.set_defaults(func=_cmd_region, parser=p_reg)
 
     p_ss = sub.add_parser("steady-state", help="analytic and numeric steady states "
                                                "with residuals (JSON)")
@@ -416,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ss.add_argument("--mode", choices=["both", "analytic", "numeric"], default=None,
                       help="which steady states to compute (default both)")
     _add_output_flags(p_ss, formats=("json",))
-    p_ss.set_defaults(func=_cmd_steady_state)
+    p_ss.set_defaults(func=_cmd_steady_state, parser=p_ss)
 
     p_wit = sub.add_parser("witness", help="short-time entanglement witness report (JSON)")
     _add_param_flags(p_wit)
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--roots", action="store_true", default=False,
                        help="include the kappa1 root interval of the rate quadratic")
     _add_output_flags(p_wit, formats=("json",))
-    p_wit.set_defaults(func=_cmd_witness)
+    p_wit.set_defaults(func=_cmd_witness, parser=p_wit)
 
     return parser
 
@@ -444,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, args.parser)
         return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import fmt
 from ._kernels import (
     bloch_axes,
     conditional_entropy,
@@ -132,24 +131,6 @@ class CorrelationSample:
     discord: float
     classical_corr: float
     optimal_angles: MeasurementAngles
-
-    def csv_row(self, t: float) -> str:
-        return ",".join(
-            fmt(x)
-            for x in (
-                t,
-                self.negativity,
-                self.mutual_info,
-                self.discord,
-                self.classical_corr,
-                self.optimal_angles.theta,
-                self.optimal_angles.phi,
-            )
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "t,negativity,mutual_info,discord,classical_corr,theta_opt,phi_opt"
 
 
 def _hemisphere_angles(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

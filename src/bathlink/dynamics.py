@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import atomic_write, fmt
+from ._format import write_table
 from .errors import ConfigError, NumericalInvariantError, StabilityError
 from .matops import matrix_exp, unvec, vec
 from .model import Liouvillian, ModelParams
@@ -36,20 +36,34 @@ def validate_density_matrix(
     herm_tol: float = HERM_TOL,
     psd_tol: float = PSD_TOL,
     context: str = "state",
+    times: np.ndarray | None = None,
 ) -> None:
-    """Check unit trace, Hermiticity, and positivity; raise with a diagnostic."""
+    """Check unit trace, Hermiticity, and positivity; raise with a diagnostic.
+
+    ``rho`` is one state ``(4, 4)`` or a stack ``(N, 4, 4)``, checked with
+    one stacked eigensolver call.  The first failing state of a stack is
+    named by its time in ``times`` when given, else by its index.
+    """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise NumericalInvariantError(f"{context}: expected 4x4, got {rho.shape}")
-    tr_dev = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    if tr_dev >= trace_tol:
-        raise NumericalInvariantError(f"{context}: trace deviates by {tr_dev:.3e}")
-    herm_dev = float(np.abs(rho - rho.conj().T).max())
-    if herm_dev >= herm_tol:
-        raise NumericalInvariantError(f"{context}: Hermiticity deviation {herm_dev:.3e}")
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
-    if min_eig <= psd_tol:
-        raise NumericalInvariantError(f"{context}: negative eigenvalue {min_eig:.3e}")
+    stack = rho.reshape(-1, 4, 4)
+    adjoint = stack.conj().swapaxes(1, 2)
+    tr = np.trace(stack, axis1=1, axis2=2)
+    tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    herm_dev = np.abs(stack - adjoint).max(axis=(1, 2))
+    min_eig = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=1)
+    bad = (tr_dev >= trace_tol) | (herm_dev >= herm_tol) | (min_eig <= psd_tol)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if rho.ndim == 3:
+        context = f"{context} at t={times[k]:g}" if times is not None else f"{context} {k}"
+    if tr_dev[k] >= trace_tol:
+        raise NumericalInvariantError(f"{context}: trace deviates by {tr_dev[k]:.3e}")
+    if herm_dev[k] >= herm_tol:
+        raise NumericalInvariantError(f"{context}: Hermiticity deviation {herm_dev[k]:.3e}")
+    raise NumericalInvariantError(f"{context}: negative eigenvalue {min_eig[k]:.3e}")
 
 
 def product_state(p: float, q: float) -> np.ndarray:
@@ -96,8 +110,7 @@ class Trajectory:
             )
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise NumericalInvariantError("times must start at 0 and increase strictly")
-        for k in range(times.size):
-            validate_density_matrix(states[k], context=f"state at t={times[k]:g}")
+        validate_density_matrix(states, times=times)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -176,7 +189,6 @@ def evolve_rk(
         rho = rho / tr
         max_herm = max(max_herm, herm_corr)
         max_tr = max(max_tr, tr_corr)
-        validate_density_matrix(rho, context=f"RK state at t={times[k]:g}")
         states[k] = rho
         v = vec(rho)
     log.debug(
@@ -246,20 +258,16 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
 
     The 16 complex entries appear row-major as interleaved re/im columns.
     """
-    header = ["t"]
+    columns = ["t"]
     for i in range(4):
         for j in range(4):
-            header.append(f"re_rho_{i}{j}")
-            header.append(f"im_rho_{i}{j}")
-    header += ["trace", "min_eig"]
-    with atomic_write(path) as f:
-        f.write(",".join(header) + "\n")
-        for t, rho in zip(traj.times, traj.states):
-            row = [fmt(t)]
-            for i in range(4):
-                for j in range(4):
-                    row.append(fmt(rho[i, j].real))
-                    row.append(fmt(rho[i, j].imag))
-            row.append(fmt(np.trace(rho).real))
-            row.append(fmt(float(np.linalg.eigvalsh(rho).min())))
-            f.write(",".join(row) + "\n")
+            columns += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+    columns += ["trace", "min_eig"]
+    entries = traj.states.reshape(-1, 16)
+    table = np.column_stack([
+        traj.times,
+        np.stack([entries.real, entries.imag], axis=-1).reshape(-1, 32),
+        np.trace(traj.states, axis1=1, axis2=2).real,
+        np.linalg.eigvalsh(traj.states).min(axis=1),
+    ])
+    write_table(path, "csv", columns, table)

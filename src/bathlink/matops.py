@@ -11,43 +11,18 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm as _expm
-
-from .errors import NumericalInvariantError
-
-DEFAULT_TOL = 1e-9
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_P = np.array([[0, 0], [1, 0]], dtype=complex)
 SIGMA_M = np.array([[0, 1], [0, 0]], dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the left factor acts on the first (Q) index."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise absolute difference."""
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
-
-
-def is_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise equality under an explicit absolute tolerance."""
-    return max_abs_diff(a, b) < tol
-
-
-def hermitian_deviation(a: np.ndarray) -> float:
-    """``max |A - A^dagger|``, zero for exactly Hermitian input."""
-    a = np.asarray(a)
-    return float(np.abs(a - a.conj().T).max())
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -86,36 +61,6 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eigen(a: np.ndarray, herm_tol: float = 1e-9) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises
-    ------
-    NumericalInvariantError
-        If the input deviates from Hermiticity by more than ``herm_tol``.
-    """
-    a = np.asarray(a, dtype=complex)
-    dev = hermitian_deviation(a)
-    if dev >= herm_tol:
-        raise NumericalInvariantError(
-            f"input is not Hermitian within {herm_tol:g} (deviation {dev:.3e})"
-        )
-    w, v = np.linalg.eigh(a)
-    return HermitianEigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
 def matrix_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """``exp(t A)`` for a square matrix (scaling-and-squaring)."""
     a = np.asarray(a, dtype=complex)
@@ -149,20 +94,3 @@ def matrix_to_dict(a: np.ndarray) -> dict:
         "cols": int(a.shape[1]),
         "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
     }
-
-
-def matrix_from_dict(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
-    entries = d["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(rows, cols)
-
-
-def matrix_to_json(a: np.ndarray) -> str:
-    return json.dumps(matrix_to_dict(a))
-
-
-def matrix_from_json(s: str) -> np.ndarray:
-    return matrix_from_dict(json.loads(s))

@@ -63,14 +63,18 @@ def rates_from_temperature(zeta: float, temperature: float) -> tuple[float, floa
     """Thermal emission/absorption rates (gamma1, gamma2) from (zeta, T).
 
     ``gamma1 - gamma2 = zeta`` holds exactly up to rounding, and
-    ``gamma1/gamma2 = exp(1/T)`` (detailed balance).
+    ``gamma1/gamma2 = exp(1/T)`` (detailed balance).  Where ``e^(1/T)``
+    overflows (1/T above about 709.78) ``gamma2 = zeta e^(-1/T)``, the same
+    value to double precision, which underflows to 0 as T -> 0.
     """
     if zeta <= 0:
         raise ConfigError(f"zeta must be > 0, got {zeta}")
     if not 0 < temperature < math.inf:
         raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
-    denom = math.expm1(1.0 / temperature)  # e^(1/T) - 1
-    gamma2 = zeta / denom
+    try:
+        gamma2 = zeta / math.expm1(1.0 / temperature)  # e^(1/T) - 1
+    except OverflowError:
+        gamma2 = zeta * math.exp(-1.0 / temperature)
     gamma1 = gamma2 + zeta
     return gamma1, gamma2
 

@@ -21,17 +21,16 @@ independent of vartheta (and of omega).  Since A, C >= 0 always, a real
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import atomic_write, fmt
+from ._format import fmt
 from .correlations import negativity
 from .dynamics import product_state
 from .errors import ConfigError, NumericalInvariantError
-from .matops import matrix_exp, partial_transpose_second, unvec, vec
+from .matops import matrix_exp, partial_transpose_second
 from .model import Liouvillian, ModelParams, apply_liouvillian, build_liouvillian
 
 
@@ -91,14 +90,11 @@ def dxi0_quadratic(kappa1: float, kappa3: float, params: ModelParams) -> float:
     unnormalized direction; normalizing rescales the value but not its sign.
     As a quadratic in kappa1 it has two real roots unless gamma1 = gamma2,
     and both roots share the sign of ``kappa3/eta``: opposite-sign
-    (kappa1, kappa3) therefore can never make the rate negative.
+    (kappa1, kappa3) therefore can never make the rate negative.  This is
+    :func:`dxi0_general` at ``(p, q) = (1, 0)`` with ``(alpha, beta) =
+    (-kappa3, kappa1)``.
     """
-    g1, g2, eta = params.gamma1, params.gamma2, params.eta
-    return (
-        2.0 * g1 * kappa1**2 * eta**2
-        - 2.0 * (g1 + g2) * kappa1 * kappa3 * eta
-        + 2.0 * g2 * kappa3**2
-    )
+    return dxi0_general(1.0, 0.0, -kappa3, kappa1, params)
 
 
 def quadratic_roots(kappa3: float, params: ModelParams) -> tuple[float, float]:
@@ -110,10 +106,18 @@ def quadratic_roots(kappa3: float, params: ModelParams) -> tuple[float, float]:
     return roots[0], roots[1]
 
 
+def _check_amplitudes(p, q) -> None:
+    if not (np.all(np.abs(p) <= 1.0) and np.all(np.abs(q) <= 1.0)):
+        raise ConfigError(f"p, q must lie in [-1, 1], got ({p}, {q})")
+
+
 def quadratic_coefficients(
     p: float, q: float, params: ModelParams
 ) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of the rate form in (alpha, beta) for the (p, q) state."""
+    """Coefficients (A, B, C) of the rate form in (alpha, beta) for the (p, q) state.
+
+    ``p`` and ``q`` may be arrays that broadcast against each other.
+    """
     g1, g2, eta = params.gamma1, params.gamma2, params.eta
     a = 2.0 * (g2 * p**4 + (p**2 - 1.0) ** 2 * g1)
     c = 2.0 * eta**2 * (g2 * q**4 + (q**2 - 1.0) ** 2 * g1)
@@ -129,8 +133,7 @@ def dxi0_general(
     Independent of vartheta and of omega; see the module docstring for the
     closed form.
     """
-    if not -1.0 <= p <= 1.0 or not -1.0 <= q <= 1.0:
-        raise ConfigError(f"p, q must lie in [-1, 1], got ({p}, {q})")
+    _check_amplitudes(p, q)
     a, b, c = quadratic_coefficients(p, q, params)
     return a * alpha**2 + b * alpha * beta + c * beta**2
 
@@ -153,10 +156,10 @@ def is_entangling(p: float, q: float, params: ModelParams) -> tuple[bool, float]
 
     Returns ``(excess > 0, excess)`` with ``excess = B^2 - 4AC``; the
     boundary ``excess = 0`` is classified non-entangling (the rate condition
-    is a strict inequality).
+    is a strict inequality).  ``p`` and ``q`` may be arrays that broadcast
+    against each other; the verdict and the excess then are arrays too.
     """
-    if not -1.0 <= p <= 1.0 or not -1.0 <= q <= 1.0:
-        raise ConfigError(f"p, q must lie in [-1, 1], got ({p}, {q})")
+    _check_amplitudes(p, q)
     a, b, c = quadratic_coefficients(p, q, params)
     excess = b * b - 4.0 * a * c
     return excess > 0.0, excess
@@ -252,20 +255,18 @@ class RegionScan:
     confirm_negativity: np.ndarray | None = None
     confirm_tau: float = 1e-4
 
-    def to_csv(self, path: str) -> None:
-        with atomic_write(path) as f:
-            if self.confirm_negativity is None:
-                f.write("p,q,entangling,excess\n")
-            else:
-                f.write("p,q,entangling,excess,negativity\n")
-            for i, p in enumerate(self.p_values):
-                for j, q in enumerate(self.q_values):
-                    row = [fmt(p), fmt(q), str(int(self.entangling[i, j])), fmt(self.excess[i, j])]
-                    if self.confirm_negativity is not None:
-                        row.append(fmt(self.confirm_negativity[i, j]))
-                    f.write(",".join(row) + "\n")
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """Columns ``p,q,entangling,excess[,negativity]`` and one row per point, p-major."""
+        columns = ["p", "q", "entangling", "excess"]
+        cells = [self.entangling.astype(float), self.excess]
+        if self.confirm_negativity is not None:
+            columns.append("negativity")
+            cells.append(self.confirm_negativity)
+        p, q = np.meshgrid(self.p_values, self.q_values, indexing="ij")
+        return columns, np.stack([p, q, *cells], axis=-1).reshape(-1, len(columns))
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """JSON-ready form: the axes, every array as nested lists, the spot checks."""
         d = {
             "p_values": [float(x) for x in self.p_values],
             "q_values": [float(x) for x in self.q_values],
@@ -276,7 +277,7 @@ class RegionScan:
         }
         if self.confirm_negativity is not None:
             d["confirm_negativity"] = self.confirm_negativity.tolist()
-        return json.dumps(d, sort_keys=True, indent=2)
+        return d
 
 
 #: Confirmation states per stacked negativity call; keeps the stacks small.
@@ -290,18 +291,23 @@ def _symmetric_axis(n: int) -> np.ndarray:
 
 
 def _short_time_negativities(
-    liouvillian: Liouvillian, points: list[tuple[float, float]], tau: float
+    liouvillian: Liouvillian, p: np.ndarray, q: np.ndarray, tau: float
 ) -> np.ndarray:
-    """Negativity at time tau for a batch of product-state starts (one expm).
+    """Negativity at time tau from the product states of the (p, q) arrays (one expm).
 
-    The states are measured ``_CONFIRM_BLOCK`` at a time, as stacks.
+    The states are built, propagated and measured ``_CONFIRM_BLOCK`` at a
+    time, as stacks.
     """
     propagator = matrix_exp(liouvillian.superop, tau)
-    out = np.empty(len(points))
-    for start in range(0, len(points), _CONFIRM_BLOCK):
-        block = points[start:start + _CONFIRM_BLOCK]
-        rhos = np.array([unvec(propagator @ vec(product_state(p, q))) for p, q in block])
-        out[start:start + len(block)] = negativity((rhos + rhos.conj().swapaxes(1, 2)) / 2)
+    out = np.empty(p.size)
+    for start in range(0, p.size, _CONFIRM_BLOCK):
+        bp, bq = p[start:start + _CONFIRM_BLOCK], q[start:start + _CONFIRM_BLOCK]
+        sp, sq = np.sqrt(1.0 - bp * bp), np.sqrt(1.0 - bq * bq)
+        psi = np.stack([bp * bq, bp * sq, sp * bq, sp * sq], axis=-1)
+        # |psi><psi| is real and symmetric, so its row-major flattening is its vec
+        v = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 16).astype(complex)
+        rhos = np.matmul(propagator, v[..., None]).reshape(-1, 4, 4).swapaxes(1, 2)
+        out[start:start + bp.size] = negativity((rhos + rhos.conj().swapaxes(1, 2)) / 2)
     return out
 
 
@@ -315,21 +321,20 @@ def region_scan(
 ) -> RegionScan:
     """Classify every point of a uniform n x n grid over [-1, 1]^2.
 
-    For ``spot_checks`` randomly chosen entangling grid points the state is
+    The verdicts come from one array call of :func:`is_entangling`.  For
+    ``spot_checks`` randomly chosen entangling grid points the state is
     evolved to ``confirm_tau`` and must show strictly positive negativity;
     a contradiction raises.  With ``confirm_dynamics`` the short-time
     negativity is computed for every grid point and returned as a column.
+    ``confirm_tau`` must be finite and > 0: backward propagation leaves the
+    state space.
     """
     if n < 2:
         raise ConfigError(f"grid resolution must be >= 2, got {n}")
+    if not 0.0 < confirm_tau < math.inf:
+        raise ConfigError(f"confirmation time tau must be finite and > 0, got {confirm_tau}")
     axis = _symmetric_axis(n)
-    entangling = np.zeros((n, n), dtype=bool)
-    excess = np.zeros((n, n))
-    for i, p in enumerate(axis):
-        for j, q in enumerate(axis):
-            verdict, ex = is_entangling(p, q, params)
-            entangling[i, j] = verdict
-            excess[i, j] = ex
+    entangling, excess = is_entangling(axis[:, None], axis[None, :], params)
 
     liou = build_liouvillian(params)
     checks: list[dict] = []
@@ -337,21 +342,20 @@ def region_scan(
     if spot_checks > 0 and flagged.size > 0:
         rng = np.random.default_rng(seed)
         take = min(spot_checks, flagged.shape[0])
-        chosen = flagged[rng.choice(flagged.shape[0], size=take, replace=False)]
-        points = [(float(axis[i]), float(axis[j])) for i, j in chosen]
-        negs = _short_time_negativities(liou, points, confirm_tau)
-        for (p, q), neg in zip(points, negs):
+        i, j = flagged[rng.choice(flagged.shape[0], size=take, replace=False)].T
+        negs = _short_time_negativities(liou, axis[i], axis[j], confirm_tau)
+        for p, q, neg in zip(axis[i], axis[j], negs):
             if neg <= 0.0:
                 raise NumericalInvariantError(
                     f"point ({p:g}, {q:g}) is flagged entangling but shows no "
                     f"negativity at t={confirm_tau:g}"
                 )
-            checks.append({"p": p, "q": q, "negativity": float(neg)})
+            checks.append({"p": float(p), "q": float(q), "negativity": float(neg)})
 
     confirm = None
     if confirm_dynamics:
-        points = [(float(p), float(q)) for p in axis for q in axis]
-        confirm = _short_time_negativities(liou, points, confirm_tau).reshape(n, n)
+        p, q = np.meshgrid(axis, axis, indexing="ij")
+        confirm = _short_time_negativities(liou, p.ravel(), q.ravel(), confirm_tau).reshape(n, n)
 
     return RegionScan(
         p_values=axis,

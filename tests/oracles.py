@@ -5,10 +5,83 @@ internals beyond the exact matrix exponential) so the quantities being
 tested are derived along a different route than the code under test.
 """
 
+import json
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import minimize
 
+from bathlink.errors import NumericalInvariantError
 from bathlink.matops import matrix_exp, partial_transpose_second
+
+DEFAULT_TOL = 1e-9
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def max_abs_diff(a, b):
+    """Largest entrywise absolute difference."""
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def is_close(a, b, tol=DEFAULT_TOL):
+    """Entrywise equality under an explicit absolute tolerance."""
+    return max_abs_diff(a, b) < tol
+
+
+def hermitian_deviation(a):
+    """``max |A - A^dagger|``, zero for exactly Hermitian input."""
+    a = np.asarray(a)
+    return float(np.abs(a - a.conj().T).max())
+
+
+@dataclass(frozen=True)
+class HermitianEigenDecomposition:
+    """Ascending eigenvalues and orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def reconstruct(self):
+        v = self.eigenvectors
+        return (v * self.eigenvalues) @ v.conj().T
+
+
+def hermitian_eigen(a, herm_tol=1e-9):
+    """Eigendecomposition of a matrix that is Hermitian within ``herm_tol``, else raise."""
+    a = np.asarray(a, dtype=complex)
+    dev = hermitian_deviation(a)
+    if dev >= herm_tol:
+        raise NumericalInvariantError(
+            f"input is not Hermitian within {herm_tol:g} (deviation {dev:.3e})"
+        )
+    w, v = np.linalg.eigh(a)
+    return HermitianEigenDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def matrix_from_dict(d):
+    """Inverse of ``bathlink.matops.matrix_to_dict``."""
+    rows, cols = int(d["rows"]), int(d["cols"])
+    entries = d["entries"]
+    if len(entries) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+    flat = np.array([complex(re, im) for re, im in entries])
+    return flat.reshape(rows, cols)
+
+
+def matrix_to_json(a):
+    """``{rows, cols, entries: [[re, im], ...]}`` row-major, as JSON text."""
+    a = np.asarray(a, dtype=complex)
+    return json.dumps({
+        "rows": int(a.shape[0]),
+        "cols": int(a.shape[1]),
+        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+    })
+
+
+def matrix_from_json(s):
+    return matrix_from_dict(json.loads(s))
 
 
 def random_hermitian(rng, n=4, scale=1.0):
@@ -54,10 +127,8 @@ def bell_diagonal_discord(rho):
     the optimal projective measurement lies along that axis and the classical
     correlation is sum_{s=+-} (1+s c)/2 log2(1+s c).
     """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    cs = [np.trace(rho @ np.kron(s, s)).real for s in (sx, sy, sz)]
+    cs = [np.trace(rho @ np.kron(s, s)).real for s in (SIGMA_X, SIGMA_Y, sz)]
     c = max(abs(x) for x in cs)
     eigs = np.linalg.eigvalsh(rho)
     eigs = eigs[eigs > 1e-15]
@@ -163,6 +234,35 @@ def xi_value(superop, rho0, psi, t):
         4, 4, order="F"
     )
     return float((psi.conj() @ partial_transpose_second(rho_t) @ psi).real)
+
+
+def reference_region_scan(gamma1, gamma2, eta, superop, n, tau):
+    """``(entangling, excess, negativity)`` on the n x n (p, q) grid, one point at a time.
+
+    The closed-form discriminant ``B^2 - 4AC`` of each point, and the
+    negativity of its product state propagated to ``tau`` with ``exp(tau S)``,
+    from the eigenvalues of the Hermitian part of the HO partial transpose.
+    """
+    axis = np.linspace(-1.0, 1.0, n)
+    axis = (axis - axis[::-1]) / 2.0
+    prop = matrix_exp(superop, tau)
+    entangling = np.zeros((n, n), dtype=bool)
+    excess = np.zeros((n, n))
+    neg = np.zeros((n, n))
+    for i, p in enumerate(axis):
+        for j, q in enumerate(axis):
+            a = 2.0 * (gamma2 * p**4 + (p**2 - 1.0) ** 2 * gamma1)
+            c = 2.0 * eta**2 * (gamma2 * q**4 + (q**2 - 1.0) ** 2 * gamma1)
+            b = -2.0 * eta * (gamma1 + gamma2) * (p**2 * (2.0 * q**2 - 1.0) - q**2)
+            excess[i, j] = b * b - 4.0 * a * c
+            entangling[i, j] = excess[i, j] > 0.0
+            phi = np.kron([p, np.sqrt(1.0 - p * p)], [q, np.sqrt(1.0 - q * q)]).astype(complex)
+            rho = (prop @ np.outer(phi, phi.conj()).reshape(-1, order="F")).reshape(4, 4, order="F")
+            rho = (rho + rho.conj().T) / 2
+            pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+            eigs = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+            neg[i, j] = ((np.abs(eigs) - eigs) / 2.0).sum()
+    return entangling, excess, neg
 
 
 def fd_dxi0(superop, rho0, psi, h=1e-6):

@@ -154,7 +154,31 @@ def test_simulate_missing_output_directory(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_simulate_near_zero_temperature(tmp_path):
+    # 1/T = 1000 overflows e^(1/T); gamma2 underflows to 0, gamma1 = zeta
+    out = tmp_path / "cold.csv"
+    assert main(["simulate", "--temperature", "0.001", "--eta", "1", "--omega", "0.001",
+                 "--p", "1", "--q", "0", "--t-max", "1", "--samples", "10",
+                 "--out", str(out)]) == 0
+    warm = tmp_path / "warm.csv"
+    assert main(["simulate", "--gamma1", "1", "--gamma2", "0", "--eta", "1",
+                 "--omega", "0.001", "--p", "1", "--q", "0", "--t-max", "1",
+                 "--samples", "10", "--out", str(warm)]) == 0
+    assert out.read_bytes() == warm.read_bytes()
+
+
 # ----------------------------------------------------------------- heatmap
+
+def test_heatmap_rejects_bad_samples(tmp_path, capsys):
+    out = tmp_path / "heat.csv"
+    for value in ("-5", "0"):
+        assert main(["heatmap", *CANON, "--observable", "negativity", "--axis", "eta",
+                     "--axis-min", "0", "--axis-max", "1", "--axis-steps", "3",
+                     "--p", "1", "--q", "0", "--t-max", "1", "--samples", value,
+                     "--out", str(out)]) == 2
+        assert f"--samples must be >= 1, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_heatmap_eta_axis(tmp_path):
     out = tmp_path / "heat.csv"
@@ -235,6 +259,15 @@ def test_region_rejects_bad_grid(tmp_path, capsys):
     assert main(["region", *CANON, "--eta", "1", "--n", "1",
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert "resolution" in capsys.readouterr().err
+
+
+def test_region_rejects_bad_tau(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    for value in ("-1", "0", "nan", "inf"):
+        assert main(["region", *CANON, "--eta", "1", "--n", "5", "--confirm-dynamics",
+                     "--tau", value, "--out", str(out)]) == 2
+        assert "tau must be finite and > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ steady-state
@@ -355,6 +388,40 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    base = ["simulate", "--gamma1", "1.01", "--gamma2", "0.01", "--p", "1", "--q", "0",
+            "--t-max", "1", "--samples", "4"]
+    flags = tmp_path / "flags.csv"
+    assert main([*base, "--eta", "1", "--omega", "0.001", "--out", str(flags)]) == 0
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "cfg.csv"
+    # a string is parsed as its command-line text would be
+    cfg.write_text(json.dumps({"eta": 1, "omega": "0.001"}))
+    assert main([*base, "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == flags.read_bytes()
+    out.unlink()
+    bad = [
+        ({"eta": 1, "omega": "abc"}, "'omega': invalid value 'abc'"),
+        ({"eta": 1, "omega": True}, "'omega' must be a number or a string"),
+        ({"eta": [1], "omega": 0.001}, "'eta' must be a number or a string"),
+        ({"eta": 1, "omega": 0.001, "method": "euler"}, "'method' must be one of exact, rk4"),
+        ({"eta": 1, "omega": 0.001, "steps": 2.5}, "'steps': invalid value 2.5"),
+    ]
+    for payload, message in bad:
+        cfg.write_text(json.dumps(payload))
+        assert main([*base, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    cfg.write_text(json.dumps({"confirm-dynamics": 1}))
+    assert main(["region", *CANON, "--eta", "1", "--n", "3", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "'confirm-dynamics' must be true or false" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flags.csv"]
+    cfg.write_text(json.dumps({"confirm-dynamics": True}))
+    assert main(["region", *CANON, "--eta", "1", "--n", "3", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert read_csv(out)[0][-1] == "negativity"
+
+
 # ------------------------------------------------------------------- misc
 
 def test_module_entrypoint_help():
@@ -397,10 +464,10 @@ def test_json_only_commands_reject_csv(tmp_path, capsys):
               "--out", str(tmp_path / "s.json")])
     assert exc.value.code == 2
     capsys.readouterr()
-    # a config file can smuggle the format past argparse; still an error
+    # a config value goes through the same choices as the flag
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"format": "csv"}))
     assert main(["witness", *CANON, "--eta", "1", "--kappa1", "0.5",
                  "--kappa3", "1", "--config", str(cfg),
                  "--out", str(tmp_path / "w.json")]) == 2
-    assert "JSON only" in capsys.readouterr().err
+    assert "'format' must be one of json, got 'csv'" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 
 from bathlink._kernels import conditional_entropy_grid
 from bathlink.correlations import (
-    CorrelationSample,
     MeasurementAngles,
     discord,
     mutual_information,
@@ -14,13 +13,14 @@ from bathlink.correlations import (
 )
 from bathlink.dynamics import evolve_exact, evolve_rk, product_state
 from bathlink.errors import ConfigError
-from bathlink.matops import kron, max_abs_diff, partial_trace
+from bathlink.matops import kron, partial_trace
 from bathlink.model import ModelParams, build_liouvillian
 from oracles import (
     bell_diagonal,
     bell_diagonal_discord,
     bell_state,
     conditional_entropy,
+    max_abs_diff,
     measurement_projectors,
     random_density,
     random_unitary,
@@ -273,18 +273,3 @@ def test_stack_equals_one_call_per_state():
     assert discord(states) == [discord(rho) for rho in states]
     assert list(negativity(states)) == [negativity(rho) for rho in states]
     assert list(mutual_information(states)) == [mutual_information(rho) for rho in states]
-
-
-def test_correlation_sample_csv_row():
-    sample = CorrelationSample(
-        negativity=0.5,
-        mutual_info=2.0,
-        discord=1.0,
-        classical_corr=1.0,
-        optimal_angles=MeasurementAngles(0.25, 1.5),
-    )
-    assert (
-        CorrelationSample.csv_header()
-        == "t,negativity,mutual_info,discord,classical_corr,theta_opt,phi_opt"
-    )
-    assert sample.csv_row(0.125) == "0.125,0.5,2,1,1,0.25,1.5"

@@ -9,10 +9,12 @@ from bathlink.dynamics import (
     product_state,
     propagate,
     trajectory_to_csv,
+    validate_density_matrix,
 )
 from bathlink.errors import ConfigError, NumericalInvariantError, StabilityError
-from bathlink.matops import max_abs_diff, trace_norm
+from bathlink.matops import trace_norm
 from bathlink.model import ModelParams, build_liouvillian, steady_state_analytic
+from oracles import max_abs_diff
 
 
 def ket_projector(index):
@@ -177,6 +179,32 @@ def test_trajectory_validates_times():
         Trajectory(times=np.array([0.1, 0.2]), states=states, params=p, initial_spec="x")
     with pytest.raises(NumericalInvariantError):
         Trajectory(times=np.array([0.0, 0.0]), states=states, params=p, initial_spec="x")
+
+
+def test_trajectory_names_the_time_of_a_bad_state():
+    p = ModelParams.from_rates(1.01, 0.01, 1.0, 0.001)
+    states = np.repeat(product_state(1.0, 0.0)[None], 4, axis=0)
+    states[2] = np.diag([1.2, -0.2, 0.0, 0.0])  # unit trace, one negative eigenvalue
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^state at t=0\.2: negative eigenvalue -2\.000e-01$"):
+        Trajectory(times=np.array([0.0, 0.1, 0.2, 0.3]), states=states, params=p,
+                   initial_spec="x")
+
+
+def test_validate_stack_reports_first_bad_state():
+    states = np.repeat(product_state(1.0, 0.0)[None], 4, axis=0)
+    states[1, 0, 1] = 1e-6  # not Hermitian
+    states[3] *= 2.0  # trace 2
+    with pytest.raises(NumericalInvariantError, match=r"^stack 1: Hermiticity deviation"):
+        validate_density_matrix(states, context="stack")
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^state at t=3: trace deviates by 1\.000e\+00$"):
+        validate_density_matrix(states[2:], times=np.array([2.0, 3.0]))
+    with pytest.raises(NumericalInvariantError, match=r"^one: trace deviates"):
+        validate_density_matrix(states[3], context="one")
+    validate_density_matrix(states[[0, 2]])
+    with pytest.raises(NumericalInvariantError, match="expected 4x4"):
+        validate_density_matrix(states[None])
 
 
 def test_trajectory_csv_format(tmp_path, canonical_liouvillian):

@@ -5,21 +5,27 @@ from bathlink.errors import NumericalInvariantError
 from bathlink.matops import (
     ID2,
     SIGMA_P,
-    SIGMA_X,
-    hermitian_eigen,
+    hermitize,
     kron,
-    matrix_from_dict,
-    matrix_from_json,
     matrix_to_dict,
-    matrix_to_json,
-    max_abs_diff,
     partial_trace,
     partial_transpose_second,
     trace_norm,
     unvec,
     vec,
 )
-from oracles import bell_state, random_hermitian
+from oracles import (
+    SIGMA_X,
+    bell_state,
+    hermitian_deviation,
+    hermitian_eigen,
+    is_close,
+    matrix_from_dict,
+    matrix_from_json,
+    matrix_to_json,
+    max_abs_diff,
+    random_hermitian,
+)
 
 
 def test_kron_identity():
@@ -93,6 +99,9 @@ def test_partial_trace_of_kron(seed):
     out2 = partial_trace(kron(a, b), "second")
     assert max_abs_diff(out2, b * np.trace(a)) < 1e-13
 
+
+# The eigendecomposition, tolerance and JSON helpers live in tests/oracles.py;
+# other tests lean on them, so they are checked here too.
 
 def test_hermitian_eigen_diagonal():
     dec = hermitian_eigen(np.diag([3.0, 1.0, 2.0]).astype(complex))
@@ -191,8 +200,6 @@ def test_matrix_from_dict_rejects_bad_length():
 
 
 def test_tolerance_helpers():
-    from bathlink.matops import hermitian_deviation, hermitize, is_close
-
     a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
     assert is_close(a, a + 1e-12, 1e-9)
     assert not is_close(a, a + 1e-6, 1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bathlink.errors import ConfigError, DegenerateSteadyStateError
-from bathlink.matops import max_abs_diff, trace_norm, unvec, vec
+from bathlink.matops import trace_norm, unvec, vec
 from bathlink.model import (
     ModelParams,
     apply_liouvillian,
@@ -15,7 +15,7 @@ from bathlink.model import (
     steady_state_analytic,
     steady_state_numeric,
 )
-from oracles import random_hermitian
+from oracles import max_abs_diff, random_hermitian
 
 
 def ket(index):
@@ -65,6 +65,18 @@ def test_rates_reject_non_positive():
         rates_from_temperature(0.0, 1.0)
     with pytest.raises(ConfigError):
         rates_from_temperature(1.0, -0.5)
+
+
+def test_rates_where_exp_inverse_temperature_overflows():
+    # e^(1/T) - 1 is finite up to 1/T of about 709.78; the formula is unchanged there
+    temp = 1.0 / 709.0
+    gamma2 = 1.0 / math.expm1(1.0 / temp)
+    assert rates_from_temperature(1.0, temp) == (gamma2 + 1.0, gamma2)
+    temp = 1.0 / 720.0
+    g1, g2 = rates_from_temperature(2.0, temp)
+    assert g2 == 2.0 * math.exp(-1.0 / temp) and g2 > 0.0 and g1 == 2.0
+    assert rates_from_temperature(1.0, 0.001) == (1.0, 0.0)
+    assert rates_from_temperature(1.0, 1e-310) == (1.0, 0.0)
 
 
 # ------------------------------------------------------------------ params

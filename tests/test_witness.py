@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from bathlink._format import write_table
 from bathlink.correlations import negativity
 from bathlink.dynamics import product_state, propagate
 from bathlink.errors import ConfigError
-from bathlink.model import ModelParams
+from bathlink.model import ModelParams, build_liouvillian
 from bathlink.witness import (
     dxi0_from_generator,
     dxi0_general,
@@ -19,7 +20,7 @@ from bathlink.witness import (
     witness_vector,
     xi,
 )
-from oracles import bell_state, fd_dxi0
+from oracles import bell_state, fd_dxi0, reference_region_scan
 
 
 def normalized(v):
@@ -247,13 +248,26 @@ def test_region_scan_confirm_dynamics_matches_verdicts(canonical_params):
 def test_region_scan_csv(tmp_path, canonical_params):
     scan = region_scan(canonical_params, n=3, spot_checks=0)
     path = tmp_path / "region.csv"
-    scan.to_csv(str(path))
+    write_table(str(path), "csv", *scan.table())
     lines = path.read_text().splitlines()
     assert lines[0] == "p,q,entangling,excess"
     assert len(lines) == 10
     first = lines[1].split(",")
     assert first[0] == "-1" and first[1] == "-1"
     assert first[2] in ("0", "1")
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.6])
+@pytest.mark.parametrize("n", [2, 11, 40])
+def test_region_scan_matches_per_point_reference(n, eta):
+    params = ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=eta, omega=0.001)
+    scan = region_scan(params, n=n, spot_checks=0, confirm_dynamics=True)
+    entangling, excess, neg = reference_region_scan(
+        params.gamma1, params.gamma2, eta, build_liouvillian(params).superop, n, 1e-4
+    )
+    assert np.array_equal(scan.entangling, entangling)
+    assert np.array_equal(scan.excess, excess)
+    assert np.array_equal(scan.confirm_negativity, neg)
 
 
 def test_region_scan_rejects_tiny_grid(canonical_params):
