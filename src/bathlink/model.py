@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig as _eig
 
 from .errors import ConfigError, DegenerateSteadyStateError, NumericalInvariantError
 from .matops import (
@@ -110,6 +109,15 @@ class ModelParams:
             )
         if self.eta < 0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        # the Kossakowski entries 2 gamma, 2 eta gamma and 2 eta^2 gamma;
+        # eta * eta overflows to inf where eta**2 would raise OverflowError
+        entries = [2 * f * rate for f in (1.0, self.eta, self.eta * self.eta)
+                   for rate in (self.gamma1, self.gamma2)]
+        if not all(map(math.isfinite, entries)):
+            raise ConfigError(
+                f"the Kossakowski matrix is not finite at eta={self.eta}, "
+                f"gamma1={self.gamma1}, gamma2={self.gamma2}"
+            )
         if self.temperature is not None:
             g1, g2 = rates_from_temperature(self.zeta, self.temperature)
             if abs(g1 - self.gamma1) > _RATE_CONSISTENCY_TOL or abs(g2 - self.gamma2) > _RATE_CONSISTENCY_TOL:
@@ -341,7 +349,7 @@ def steady_state_numeric(
     returned state is an arbitrary element of it; with ``require_unique``
     (the default) that situation raises instead of silently picking one.
     """
-    w, v = _eig(liouvillian.superop)
+    w, v = np.linalg.eig(liouvillian.superop)
     order = np.argsort(np.abs(w))
     dim = int(np.sum(np.abs(w) < null_tol))
     if require_unique and dim != 1:

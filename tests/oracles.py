@@ -1,18 +1,21 @@
 """Independent oracles used to freeze expected values in the tests.
 
-Everything here is deliberately written against raw numpy/scipy (no package
-internals beyond the exact matrix exponential) so the quantities being
-tested are derived along a different route than the code under test.
+Everything here is deliberately written against raw numpy/scipy so the
+quantities being tested are derived along a different route than the code
+under test.  The exact propagator is ``scipy.linalg.expm``, not the
+package's ``matrix_exp``; the only package code used is the error type and
+``matops.partial_transpose_second``.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from bathlink.errors import NumericalInvariantError
-from bathlink.matops import matrix_exp, partial_transpose_second
+from bathlink.matops import partial_transpose_second
 
 DEFAULT_TOL = 1e-9
 
@@ -230,22 +233,22 @@ def eta1_asymptotic_state(gamma1, gamma2, rho0):
 
 def xi_value(superop, rho0, psi, t):
     """Xi(t) along the exact propagator, for arbitrary real t."""
-    rho_t = (matrix_exp(superop, t) @ rho0.reshape(-1, order="F")).reshape(
+    rho_t = (expm(t * superop) @ rho0.reshape(-1, order="F")).reshape(
         4, 4, order="F"
     )
     return float((psi.conj() @ partial_transpose_second(rho_t) @ psi).real)
 
 
-def reference_region_scan(gamma1, gamma2, eta, superop, n, tau):
+def reference_region_scan(gamma1, gamma2, eta, prop, n):
     """``(entangling, excess, negativity)`` on the n x n (p, q) grid, one point at a time.
 
     The closed-form discriminant ``B^2 - 4AC`` of each point, and the
-    negativity of its product state propagated to ``tau`` with ``exp(tau S)``,
-    from the eigenvalues of the Hermitian part of the HO partial transpose.
+    negativity of its product state propagated by the 16x16 ``prop``
+    (``exp(tau S)``), from the eigenvalues of the Hermitian part of the HO
+    partial transpose.
     """
     axis = np.linspace(-1.0, 1.0, n)
     axis = (axis - axis[::-1]) / 2.0
-    prop = matrix_exp(superop, tau)
     entangling = np.zeros((n, n), dtype=bool)
     excess = np.zeros((n, n))
     neg = np.zeros((n, n))

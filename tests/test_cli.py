@@ -146,6 +146,26 @@ def test_simulate_rejects_non_finite_params(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_non_finite_propagator_exits_3(tmp_path, capsys):
+    # exp(5e299 L): the powers of t L overflow, so the propagator is not finite
+    out = tmp_path / "x.csv"
+    assert main(["simulate", *CANON, "--eta", "0.5", "--p", "1", "--q", "0",
+                 "--t-max", "1e300", "--samples", "2", "--out", str(out)]) == 3
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_eta_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["witness", "--gamma1", "1", "--gamma2", "0.01", "--eta", "1e200",
+                 "--omega", "1", "--kappa1", "1", "--kappa3", "1", "--out", str(out)]) == 2
+    assert "Kossakowski matrix is not finite" in capsys.readouterr().err
+    assert main(["simulate", *CANON, "--eta", "1e200", "--p", "1", "--q", "0",
+                 "--t-max", "1", "--out", str(out)]) == 2
+    assert "Kossakowski matrix is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_missing_output_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
@@ -267,6 +287,14 @@ def test_region_rejects_bad_tau(tmp_path, capsys):
         assert main(["region", *CANON, "--eta", "1", "--n", "5", "--confirm-dynamics",
                      "--tau", value, "--out", str(out)]) == 2
         assert "tau must be finite and > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_region_non_finite_propagator_exits_3(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["region", *CANON, "--eta", "1", "--n", "3", "--tau", "1e300",
+                 "--confirm-dynamics", "--out", str(out)]) == 3
+    assert "is not finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -438,6 +466,14 @@ def test_module_entrypoint_help():
 def test_cli_import_skips_optimizer_and_jit():
     code = ("import sys, bathlink.cli\n"
             "print(sorted(m for m in ('scipy.optimize', 'numba') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, bathlink.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "[]"

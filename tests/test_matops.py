@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bathlink.errors import NumericalInvariantError
 from bathlink.matops import (
@@ -14,6 +15,7 @@ from bathlink.matops import (
     unvec,
     vec,
 )
+from bathlink.model import ModelParams, build_liouvillian
 from oracles import (
     SIGMA_X,
     bell_state,
@@ -167,6 +169,49 @@ def test_matrix_exp_rejects_non_square():
 
     with pytest.raises(ValueError):
         matrix_exp(np.zeros((2, 3)))
+
+
+def test_matrix_exp_matches_scipy_on_random_matrices():
+    # 500 seeded complex 16x16 matrices, 1-norms log-uniform in [1e-5, 1e2]
+    from bathlink.matops import _pade_structure, matrix_exp
+
+    rng = np.random.default_rng(2009)
+    structures = set()
+    worst = 0.0
+    for norm in 10.0 ** rng.uniform(-5.0, 2.0, size=500):
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        m, s, _ = _pade_structure(a)
+        structures.add((m, s > 0))
+        ref = expm(a)
+        worst = max(worst, np.abs(matrix_exp(a) - ref).max() / np.abs(ref).max())
+    assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
+    assert (13, True) in structures
+    assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 1.0])
+def test_matrix_exp_matches_scipy_on_canonical_liouvillians(eta):
+    from bathlink.matops import matrix_exp
+
+    params = ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=eta, omega=0.001)
+    superop = build_liouvillian(params).superop
+    for t in (1e-4, 0.015, 0.024, 0.075, 6.0):
+        gap = np.abs(matrix_exp(superop, t) - expm(t * superop)).max()
+        assert gap <= 1e-14, (t, gap)
+
+
+@pytest.mark.parametrize("case", ["powers_overflow", "result_overflows", "nan_entry"])
+def test_matrix_exp_rejects_non_finite_result(case, canonical_liouvillian):
+    from bathlink.matops import matrix_exp
+
+    a, t = {
+        "powers_overflow": (canonical_liouvillian.superop, 1e300),
+        "result_overflows": (np.eye(2), 1000.0),
+        "nan_entry": (np.array([[0.0, np.nan], [0.0, 0.0]]), 1.0),
+    }[case]
+    with pytest.raises(NumericalInvariantError, match="not finite"):
+        matrix_exp(a, t)
 
 
 def test_vec_unvec_roundtrip_and_multiplication_law():

@@ -109,6 +109,21 @@ def test_params_validation():
         ModelParams.from_rates(1.0, 0.01, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("gamma1, gamma2, eta", [
+    (1.0, 0.01, 1e200),   # 2 eta^2 gamma1 overflows (eta**2 itself would raise)
+    (0.0, 0.0, 1e200),    # eta^2 = inf times a zero rate
+    (1e308, 0.01, 1.0),   # 2 gamma1 overflows
+])
+def test_params_reject_non_finite_kossakowski_entries(gamma1, gamma2, eta):
+    with pytest.raises(ConfigError, match="Kossakowski matrix is not finite"):
+        ModelParams.from_rates(gamma1, gamma2, eta, 0.001)
+
+
+def test_params_accept_large_finite_kossakowski_entries():
+    params = ModelParams.from_rates(1.0, 0.01, 1e150, 0.001)
+    assert np.isfinite(kossakowski_matrix(params)).all()
+
+
 # ------------------------------------------------------------- kossakowski
 
 def test_kossakowski_canonical_matrix(canonical_params):

@@ -5,6 +5,7 @@ from bathlink._format import write_table
 from bathlink.correlations import negativity
 from bathlink.dynamics import product_state, propagate
 from bathlink.errors import ConfigError
+from bathlink.matops import matrix_exp
 from bathlink.model import ModelParams, build_liouvillian
 from bathlink.witness import (
     dxi0_from_generator,
@@ -262,8 +263,10 @@ def test_region_scan_csv(tmp_path, canonical_params):
 def test_region_scan_matches_per_point_reference(n, eta):
     params = ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=eta, omega=0.001)
     scan = region_scan(params, n=n, spot_checks=0, confirm_dynamics=True)
+    # the same propagator as region_scan, so the per-point loop is compared
+    # bit for bit with the batched scan; matrix_exp has its own oracle tests
     entangling, excess, neg = reference_region_scan(
-        params.gamma1, params.gamma2, eta, build_liouvillian(params).superop, n, 1e-4
+        params.gamma1, params.gamma2, eta, matrix_exp(build_liouvillian(params).superop, 1e-4), n
     )
     assert np.array_equal(scan.entangling, entangling)
     assert np.array_equal(scan.excess, excess)
