@@ -7,6 +7,10 @@ import os
 import tempfile
 from contextlib import contextmanager
 
+import numpy as np
+
+from .errors import NumericalInvariantError
+
 
 def fmt(x: float) -> str:
     """Fixed 12-significant-digit float rendering ('.' decimal separator).
@@ -38,23 +42,41 @@ def atomic_write(path: str):
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` as sorted, two-space-indented JSON plus a newline."""
-    with atomic_write(path) as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    """Write ``payload`` as sorted, two-space-indented JSON plus a newline.
+
+    A NaN or infinite float is not JSON: it raises
+    :class:`NumericalInvariantError` and leaves no file behind.
+    """
+    try:
+        with atomic_write(path) as f:
+            json.dump(payload, f, sort_keys=True, indent=2, allow_nan=False)
+            f.write("\n")
+    except ValueError as exc:
+        raise NumericalInvariantError(f"{path}: {exc}") from exc
 
 
 def write_table(path: str, kind: str, columns: list[str], rows) -> None:
     """Write a numeric table as CSV (``kind="csv"``) or JSON (``kind="json"``).
 
-    Every cell goes through :func:`fmt`: CSV cells are its text, JSON cells
-    the float it denotes, under ``{"columns": [...], "rows": [[...], ...]}``.
+    Every cell is rendered as :func:`fmt` renders it: CSV cells as its text,
+    JSON cells as the float it denotes, under ``{"columns": [...], "rows":
+    [[...], ...]}``.  A NaN or infinite cell raises
+    :class:`NumericalInvariantError` before any file is opened.
     """
+    # + 0.0 maps -0 to 0, so "%.12g" renders every cell as fmt does
+    table = np.asarray(rows, dtype=float) + 0.0
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericalInvariantError(
+            f"{path}: non-finite value {table[i, j]} in row {i}, column {columns[j]!r}"
+        )
     if kind == "json":
         write_json(path, {"columns": columns,
-                          "rows": [[float(fmt(x)) for x in row] for row in rows]})
+                          "rows": [[float(fmt(x)) for x in row] for row in table]})
         return
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
     with atomic_write(path) as f:
         f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(fmt(x) for x in row) + "\n")
+        for row in table:
+            f.write(line % tuple(row))

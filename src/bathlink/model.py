@@ -52,8 +52,7 @@ SM_Q = kron(SIGMA_M, ID2)
 SP_HO = kron(ID2, SIGMA_P)
 SM_HO = kron(ID2, SIGMA_M)
 
-#: Dissipator operator basis ordering (G1, G2, G3, G4).
-LINDBLAD_BASIS = (SP_Q, SM_Q, SM_HO, SP_HO)
+_EYE4 = np.eye(4, dtype=complex)
 
 _RATE_CONSISTENCY_TOL = 1e-9
 
@@ -256,7 +255,6 @@ class Liouvillian:
     """
 
     params: ModelParams
-    hamiltonian: np.ndarray
     superop: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
     spectral_radius: float
@@ -265,29 +263,34 @@ class Liouvillian:
         return unvec(self.superop @ vec(rho))
 
 
-def build_liouvillian(params: ModelParams, validate: bool = True) -> Liouvillian:
-    """Assemble the 16x16 superoperator from the Kossakowski form.
+def _lift_dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
+    """``rate D[J]`` as a 16x16 superoperator, ``D[J] rho = J rho J^dag - {J^dag J, rho}/2``.
 
-    Each dissipator term ``K_ij (G_i rho G_j^dag - {G_j^dag G_i, rho}/2)``
-    lifts to ``K_ij (conj(G_j) kron G_i - (1 kron G_j^dag G_i)/2
-    - ((G_j^dag G_i)^T kron 1)/2)`` under column stacking.
+    Under column stacking ``D[J] = conj(J) kron J - (1 kron J^dag J)/2
+    - ((J^dag J)^T kron 1)/2``.  ``rate J^dag J`` is read off the scaled
+    jump term as its partial trace: those are the sums the trace row takes,
+    so the trace row cancels up to their rounding at any rate.
+    """
+    jump_term = rate * np.kron(jump.conj(), jump)
+    jdj = np.einsum("kkjl->jl", jump_term.reshape(4, 4, 4, 4))
+    return jump_term - 0.5 * np.kron(_EYE4, jdj) - 0.5 * np.kron(jdj.T, _EYE4)
+
+
+def build_liouvillian(params: ModelParams, validate: bool = True) -> Liouvillian:
+    """Assemble the 16x16 superoperator from the two collective jump operators.
+
+    ``S = -i (1 kron H - H^T kron 1) + 2 gamma1 D[J_down] + 2 gamma2 D[J_up]``
+    with ``J_down = sigma_-^Q + eta sigma_-^HO`` and ``J_up = sigma_+^Q +
+    eta sigma_+^HO``: the rank-two Kossakowski matrix written through its two
+    nonzero eigenvectors.  With ``validate`` the generator must annihilate
+    the trace and have no eigenvalue with a positive real part.
     """
     h = hamiltonian(params)
-    eye = np.eye(4, dtype=complex)
-    s = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    kmat = kossakowski_matrix(params)
-    for i in range(4):
-        for j in range(4):
-            kij = kmat[i, j]
-            if kij == 0:
-                continue
-            gi, gj = LINDBLAD_BASIS[i], LINDBLAD_BASIS[j]
-            gjd_gi = gj.conj().T @ gi
-            s += kij * (
-                np.kron(gj.conj(), gi)
-                - 0.5 * np.kron(eye, gjd_gi)
-                - 0.5 * np.kron(gjd_gi.T, eye)
-            )
+    j_down = SM_Q + params.eta * SM_HO
+    j_up = SP_Q + params.eta * SP_HO
+    s = (-1j * (np.kron(_EYE4, h) - np.kron(h.T, _EYE4))
+         + _lift_dissipator(2.0 * params.gamma1, j_down)
+         + _lift_dissipator(2.0 * params.gamma2, j_up))
     eigvals = np.linalg.eigvals(s)
     radius = float(np.abs(eigvals).max())
     if validate:
@@ -304,7 +307,6 @@ def build_liouvillian(params: ModelParams, validate: bool = True) -> Liouvillian
             )
     return Liouvillian(
         params=params,
-        hamiltonian=h,
         superop=s,
         eigenvalues=eigvals,
         spectral_radius=radius,

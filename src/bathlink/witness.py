@@ -158,10 +158,18 @@ def is_entangling(p: float, q: float, params: ModelParams) -> tuple[bool, float]
     boundary ``excess = 0`` is classified non-entangling (the rate condition
     is a strict inequality).  ``p`` and ``q`` may be arrays that broadcast
     against each other; the verdict and the excess then are arrays too.
+    An excess that is not finite (the form overflows at very large rates)
+    raises :class:`NumericalInvariantError`.
     """
     _check_amplitudes(p, q)
-    a, b, c = quadratic_coefficients(p, q, params)
-    excess = b * b - 4.0 * a * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = quadratic_coefficients(p, q, params)
+        excess = b * b - 4.0 * a * c
+    if not np.all(np.isfinite(excess)):
+        raise NumericalInvariantError(
+            "entangling excess B^2 - 4AC is not finite at "
+            f"gamma1={params.gamma1:g}, gamma2={params.gamma2:g}, eta={params.eta:g}"
+        )
     return excess > 0.0, excess
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written against raw numpy/scipy so the
 quantities being tested are derived along a different route than the code
 under test.  The exact propagator is ``scipy.linalg.expm``, not the
-package's ``matrix_exp``; the only package code used is the error type and
+package's ``matrix_exp``; the generator oracle lifts the Kossakowski matrix
+entry by entry, and the RK4 oracle runs the k1-k4 stages one step at a
+time.  The only package code used is the error type and
 ``matops.partial_transpose_second``.
 """
 
@@ -229,6 +231,59 @@ def eta1_asymptotic_state(gamma1, gamma2, rho0):
     r = gamma1 / gamma2
     sigma = (np.diag([r * r, 0.0, 0.0, 1.0]) + r * bell_state("psi+")) / (r * r + r + 1.0)
     return dark * bell_state("psi-") + (1.0 - dark) * sigma
+
+
+def kossakowski_liouvillian(h, k):
+    """16x16 generator lifted entry by entry from the Kossakowski form.
+
+    ``-i [H, rho] + sum_ij K_ij (G_i rho G_j^dag - {G_j^dag G_i, rho}/2)``
+    over the operator basis ``(sigma_+^Q, sigma_-^Q, sigma_-^HO,
+    sigma_+^HO)``, each term lifted under column stacking to
+    ``conj(G_j) kron G_i - (1 kron G_j^dag G_i)/2 - ((G_j^dag G_i)^T kron 1)/2``.
+    """
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    sm = sp.T.copy()
+    eye2, eye4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+    basis = (np.kron(sp, eye2), np.kron(sm, eye2), np.kron(eye2, sm), np.kron(eye2, sp))
+    s = -1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
+    for i in range(4):
+        for j in range(4):
+            if k[i, j] == 0:
+                continue
+            gi, gj = basis[i], basis[j]
+            gjd_gi = gj.conj().T @ gi
+            s = s + k[i, j] * (
+                np.kron(gj.conj(), gi)
+                - 0.5 * np.kron(eye4, gjd_gi)
+                - 0.5 * np.kron(gjd_gi.T, eye4)
+            )
+    return s
+
+
+def rk4_stage_states(superop, rho0, t_max, steps, samples):
+    """``samples + 1`` states of the classical k1-k4 stage loop, step by step.
+
+    The step count is rounded up to a multiple of ``samples`` and each
+    stored state is Hermitized and trace-renormalized before the next
+    segment starts from it, as ``evolve_rk`` documents.
+    """
+    substeps = -(-steps // samples)
+    h = t_max / (samples * substeps)
+    v = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
+    states = [np.asarray(rho0, dtype=complex)]
+    for _ in range(samples):
+        for _ in range(substeps):
+            k1 = superop @ v
+            k2 = superop @ (v + 0.5 * h * k1)
+            k3 = superop @ (v + 0.5 * h * k2)
+            k4 = superop @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = v.reshape(4, 4, order="F")
+        rho = (rho + rho.conj().T) / 2.0
+        rho = rho / np.trace(rho).real
+        states.append(rho)
+        v = rho.reshape(-1, order="F")
+    return np.array(states)
 
 
 def xi_value(superop, rho0, psi, t):

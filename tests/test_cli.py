@@ -155,6 +155,25 @@ def test_simulate_non_finite_propagator_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rk4_rounding_floor_exits_3(tmp_path, capsys):
+    # 5e12 steps per sample: the step-matrix power finishes at once, and the
+    # rounding of 1 + hS at h = 1e-13 shows up as trace drift
+    out = tmp_path / "x.csv"
+    assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
+                 "--method", "rk4", "--t-max", "1", "--samples", "2",
+                 "--steps", "10000000000000", "--out", str(out)]) == 3
+    assert "trace drifted" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_witness_overflowing_excess_exits_3(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert main(["witness", "--gamma1", "1e150", "--gamma2", "1e150", "--eta", "1e4",
+                 "--omega", "1", "--p", "0.6", "--q", "0.3", "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_huge_eta_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["witness", "--gamma1", "1", "--gamma2", "0.01", "--eta", "1e200",

@@ -14,7 +14,7 @@ from bathlink.dynamics import (
 from bathlink.errors import ConfigError, NumericalInvariantError, StabilityError
 from bathlink.matops import trace_norm
 from bathlink.model import ModelParams, build_liouvillian, steady_state_analytic
-from oracles import max_abs_diff
+from oracles import max_abs_diff, rk4_stage_states
 
 
 def ket_projector(index):
@@ -82,6 +82,16 @@ def test_evolve_rk_fourth_order_convergence(canonical_liouvillian):
         err[steps] = trace_norm(traj.final_state - exact)
     ratio = err[100] / err[200]
     assert 12.0 <= ratio <= 20.0, f"halving ratio {ratio:.2f}"
+
+
+@pytest.mark.parametrize("eta,steps,samples", [(0.6, 5000, 50), (1.0, 999, 7), (0.3, 40, 40)])
+def test_evolve_rk_matches_stage_oracle(eta, steps, samples):
+    # the step-matrix power against the k1-k4 stage loop, same per-sample correction
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, eta, 0.001))
+    rho0 = product_state(0.6, -0.4)
+    traj = evolve_rk(liou, rho0, 5.0, steps=steps, samples=samples)
+    ref = rk4_stage_states(liou.superop, rho0, 5.0, steps, samples)
+    assert max_abs_diff(traj.states, ref) <= 1e-12
 
 
 def test_evolve_rk_stability_guard(canonical_liouvillian):

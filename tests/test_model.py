@@ -15,7 +15,7 @@ from bathlink.model import (
     steady_state_analytic,
     steady_state_numeric,
 )
-from oracles import max_abs_diff, random_hermitian
+from oracles import kossakowski_liouvillian, max_abs_diff, random_hermitian
 
 
 def ket(index):
@@ -164,6 +164,26 @@ def test_hamiltonian_is_diagonal_with_expected_levels(canonical_params):
     om = canonical_params.omega
     assert np.allclose(np.diag(h), [-om / 2, om / 2, om / 2, 3 * om / 2])
     assert max_abs_diff(h, np.diag(np.diag(h))) == 0.0
+
+
+def test_build_matches_kossakowski_lift_oracle():
+    # the collective-jump build against the entry-by-entry Kossakowski lift
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for g1, g2, eta, omega in rng.uniform(0.0, 2.0, size=(2000, 4)):
+        params = ModelParams.from_rates(g1, g2, eta, omega)
+        s = build_liouvillian(params).superop
+        ref = kossakowski_liouvillian(hamiltonian(params), kossakowski_matrix(params))
+        worst = max(worst, max_abs_diff(s, ref) / np.abs(ref).max())
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("rates", [(5000.0, 50.0, 0.6), (7900.0, 79.0, 0.6), (2000.0, 0.0, 1.0)])
+def test_build_accepts_large_rates(rates):
+    # rate J^dag J is the partial trace of the scaled jump term, so the
+    # trace row keeps within the absolute 1e-12 check at these rates
+    g1, g2, eta = rates
+    build_liouvillian(ModelParams.from_rates(g1, g2, eta, 1.0))
 
 
 def test_build_and_apply_agree_on_random_hermitian(canonical_params, canonical_liouvillian):

@@ -4,7 +4,7 @@ import pytest
 from bathlink._format import write_table
 from bathlink.correlations import negativity
 from bathlink.dynamics import product_state, propagate
-from bathlink.errors import ConfigError
+from bathlink.errors import ConfigError, NumericalInvariantError
 from bathlink.matops import matrix_exp
 from bathlink.model import ModelParams, build_liouvillian
 from bathlink.witness import (
@@ -218,7 +218,35 @@ def test_quadratic_coefficients_are_nonnegative(canonical_params):
         assert a >= 0.0 and c >= 0.0
 
 
+def test_is_entangling_rejects_non_finite_excess():
+    # B^2 overflows at rates of 1e150
+    params = ModelParams.from_rates(1e150, 1e150, 1e4, 1.0)
+    with pytest.raises(NumericalInvariantError, match="not finite"):
+        is_entangling(0.6, 0.3, params)
+
+
 # -------------------------------------------------------------- region scan
+
+@pytest.mark.parametrize("rates", [(1.01, 0.01, 1.0), (0.7, 0.3, 0.35), (1.0, 0.0, 0.9)])
+def test_region_verdicts_invariant_under_rate_scaling(rates):
+    g1, g2, eta = rates
+    scan = region_scan(ModelParams.from_rates(g1, g2, eta, 1.0), n=41, spot_checks=0)
+    p, q = scan.p_values[:, None], scan.q_values[None, :]
+    for k in (-40, 3, 60):
+        scaled = ModelParams.from_rates(g1 * 2.0**k, g2 * 2.0**k, eta, 1.0)
+        entangling, excess = is_entangling(p, q, scaled)
+        assert np.array_equal(entangling, scan.entangling)
+        assert np.array_equal(excess, scan.excess * 4.0**k)
+    entangling, _ = is_entangling(p, q, ModelParams.from_rates(g1 * 1e100, g2 * 1e100, eta, 1.0))
+    assert np.array_equal(entangling, scan.entangling)
+
+
+def test_region_verdicts_follow_excess_at_tiny_rates():
+    # B^2 and 4AC underflow at rates of 1e-200: the excess reads 0 and the verdict follows it
+    scan = region_scan(ModelParams.from_rates(1.01e-200, 1e-202, 1.0, 1.0), n=21, spot_checks=0)
+    assert np.all(np.isfinite(scan.excess))
+    assert np.array_equal(scan.entangling, scan.excess > 0.0)
+
 
 def test_region_scan_symmetry_and_corners(canonical_params):
     scan = region_scan(canonical_params, n=21, spot_checks=0)
