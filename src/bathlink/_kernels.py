@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 _P_FLOOR = 1e-12
-#: States per grid-scan block: the scan's temporaries stay near 1 MB whatever
-#: the length of the stack.
-_CHUNK = 8
+#: State-axis pairs per grid-scan block: the scan's temporaries stay near
+#: 1 MB whatever the length of the stack or the size of the grid.
+_BLOCK_PAIRS = 6144
 
 _PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -84,15 +84,16 @@ def conditional_entropy_grid(
 ) -> np.ndarray:
     """Measured conditional entropy of an (N, 4, 4) stack over a Bloch-angle grid.
 
-    Returns an (N, n_theta, n_phi) array in bits, computed ``_CHUNK`` states
-    at a time.
+    Returns an (N, n_theta, n_phi) array in bits, computed a block of states
+    at a time, with ``_BLOCK_PAIRS`` state-axis pairs per block.
     """
     states = np.asarray(states, dtype=complex)
     th, ph = np.meshgrid(np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float),
                          indexing="ij")
     axes = bloch_axes(th.ravel(), ph.ravel())
     out = np.empty((states.shape[0], th.size))
-    for start in range(0, states.shape[0], _CHUNK):
-        block = states[start:start + _CHUNK]
-        out[start:start + _CHUNK] = conditional_entropy(measurement_operators(block), axes)
+    chunk = max(1, _BLOCK_PAIRS // th.size)
+    for start in range(0, states.shape[0], chunk):
+        block = states[start:start + chunk]
+        out[start:start + chunk] = conditional_entropy(measurement_operators(block), axes)
     return out.reshape(states.shape[0], *th.shape)

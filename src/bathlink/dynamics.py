@@ -158,8 +158,15 @@ def evolve_rk(
             params=liouvillian.params,
             initial_spec="as supplied",
         )
-    substeps = max(1, math.ceil(steps / samples))
-    h = t_max / (samples * substeps)
+    substeps = max(1, -(-steps // samples))
+    try:
+        h = t_max / (samples * substeps)
+    except OverflowError:  # a step count beyond the float range
+        h = 0.0
+    if h == 0.0:
+        raise ConfigError(
+            f"steps is too large for t_max={t_max:g}: the step size underflows to zero"
+        )
     if h * liouvillian.spectral_radius >= 1.0:
         raise StabilityError(
             f"step size {h:.3e} times spectral radius "

@@ -283,7 +283,8 @@ def build_liouvillian(params: ModelParams, validate: bool = True) -> Liouvillian
     with ``J_down = sigma_-^Q + eta sigma_-^HO`` and ``J_up = sigma_+^Q +
     eta sigma_+^HO``: the rank-two Kossakowski matrix written through its two
     nonzero eigenvectors.  With ``validate`` the generator must annihilate
-    the trace and have no eigenvalue with a positive real part.
+    the trace and have no eigenvalue with a positive real part, both within
+    rounding: 1e-12 and 1e-10 times ``max(1, max|S|)``.
     """
     h = hamiltonian(params)
     j_down = SM_Q + params.eta * SM_HO
@@ -294,14 +295,16 @@ def build_liouvillian(params: ModelParams, validate: bool = True) -> Liouvillian
     eigvals = np.linalg.eigvals(s)
     radius = float(np.abs(eigvals).max())
     if validate:
+        # both residuals are rounding of entries as large as max|S|
+        scale = max(1.0, float(np.abs(s).max()))
         trace_row = vec(np.eye(4)).conj() @ s
         worst = float(np.abs(trace_row).max())
-        if worst >= 1e-12:
+        if worst >= 1e-12 * scale:
             raise NumericalInvariantError(
-                f"generator does not annihilate the trace (max {worst:.3e})"
+                f"generator does not annihilate the trace (max {worst:.3e}, max|S| {scale:.3e})"
             )
         max_re = float(eigvals.real.max())
-        if max_re > 1e-10:
+        if max_re > 1e-10 * scale:
             raise NumericalInvariantError(
                 f"generator eigenvalue with positive real part {max_re:.3e}"
             )

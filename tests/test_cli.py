@@ -166,6 +166,15 @@ def test_simulate_rk4_rounding_floor_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_rk4_steps_beyond_float_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
+                 "--method", "rk4", "--t-max", "1", "--samples", "2",
+                 "--steps", str(10**400), "--out", str(out)]) == 2
+    assert "step size underflows" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_witness_overflowing_excess_exits_3(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["witness", "--gamma1", "1e150", "--gamma2", "1e150", "--eta", "1e4",

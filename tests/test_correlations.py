@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,7 +236,51 @@ def test_discord_dominates_raw_grid_optimum(seed):
     assert sample.classical_corr >= grid_j - 1e-12
 
 
+def _x_state(diagonal, z14, z23):
+    """X-shaped state with the given diagonal and real coherences <00|rho|11>, <01|rho|10>."""
+    rho = np.diag(diagonal).astype(complex)
+    rho[0, 3] = rho[3, 0] = z14
+    rho[1, 2] = rho[2, 1] = z23
+    return rho
+
+
+def _exact_trajectory(eta, p, q):
+    params = ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=eta, omega=0.001)
+    return evolve_exact(build_liouvillian(params), product_state(p, q),
+                        np.linspace(0.0, 6.0, 51)).states
+
+
+def _adversarial_states():
+    """States whose minimum a coarse or fixed-budget search misses.
+
+    * At eta = 1 the optimum lies in a long, flat, curved valley (curvatures
+      3e-5 and 7e-2), and at eta = 0.9 in a shallower one.
+    * X-states inside the windows where the optimal axis is at neither
+      theta = 0 nor pi/2 (theta* = 0.60, 0.67 and 0.62, with phi* = 0, 0 and
+      pi/2; the window is 0.9e-3 to 2e-3 bits deep).
+    * Two minima 2e-6 bits apart, at the pole and on the equator of an
+      X-state, both moved off the scan grid by a rotation of the HO side; the
+      lower one has the smaller basin, and the best two scan points lie in
+      the other basin.
+    """
+    trajectories = [_exact_trajectory(1.0, 0.6, -0.4), _exact_trajectory(1.0, -0.8, 0.5),
+                    _exact_trajectory(0.9, 0.2, 0.9)]
+    windows = [
+        _x_state([0.0005, 0.0111, 0.9409, 0.0475], -0.0034, -0.0756),
+        _x_state([0.8099, 0.0653, 0.0086, 0.1162], -0.2498, -0.017),
+        _x_state([0.0605, 0.8881, 0.0439, 0.0075], 0.0208, -0.137),
+    ]
+    # z23 puts the equator minimum 2e-6 bits above the pole
+    two_minima = _x_state([0.2462, 0.5031, 0.2504, 0.0003], 0.00106, 0.2987235040823088)
+    rx = np.array([[math.cos(0.25), -1j * math.sin(0.25)], [-1j * math.sin(0.25), math.cos(0.25)]])
+    rz = np.diag([np.exp(-0.2j), np.exp(0.2j)])
+    u = kron(np.eye(2), rz @ rx)
+    return np.concatenate([*trajectories, windows, [u @ two_minima @ u.conj().T]])
+
+
 def _agreement_states(kind):
+    if kind == "adversarial":
+        return _adversarial_states()
     if kind == "random":
         rng = np.random.default_rng(1300)
         return np.array([random_density(rng) for _ in range(200)])
@@ -251,7 +297,10 @@ def _agreement_states(kind):
     return traj.states
 
 
-@pytest.mark.parametrize("kind", ["random", "bell_diagonal", "canonical", "rk4_generic"])
+AGREEMENT_KINDS = ["random", "bell_diagonal", "canonical", "rk4_generic", "adversarial"]
+
+
+@pytest.mark.parametrize("kind", AGREEMENT_KINDS)
 def test_discord_matches_reference(kind):
     states = _agreement_states(kind)
     samples = discord(states)
@@ -265,6 +314,33 @@ def test_discord_matches_reference(kind):
         attained = conditional_entropy(rho, sample.optimal_angles)
         assert abs(s_q - attained - sample.classical_corr) <= 1e-9
         assert 0.0 <= sample.optimal_angles.theta <= math.pi / 2
+
+
+@pytest.mark.parametrize("kind", AGREEMENT_KINDS)
+def test_discord_search_converges(kind, caplog):
+    states = _agreement_states(kind)
+    with caplog.at_level(logging.WARNING, logger="bathlink.correlations"):
+        discord(states)
+    assert caplog.records == []
+
+
+def test_discord_logs_searches_left_unconverged(monkeypatch, caplog):
+    import bathlink.correlations as corr
+
+    monkeypatch.setattr(corr, "NEWTON_STEPS", 1)
+    states = _exact_trajectory(1.0, 0.6, -0.4)[40:]
+    with caplog.at_level(logging.WARNING, logger="bathlink.correlations"):
+        samples = discord(states)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    count = re.search(r"(\d+) of 11 states reached 1 Newton iterations unconverged",
+                      record.getMessage())
+    assert count and int(count.group(1)) >= 1
+    # the result stands: no worse than the coarse scan's optimum
+    for rho, sample in zip(states, samples):
+        scan = conditional_entropy_grid(rho[None], corr.SCAN_THETAS, corr.SCAN_PHIS).min()
+        s_q = von_neumann_entropy(partial_trace(rho, "first"))
+        assert sample.classical_corr >= s_q - scan
 
 
 def test_stack_equals_one_call_per_state():

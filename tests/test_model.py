@@ -181,9 +181,16 @@ def test_build_matches_kossakowski_lift_oracle():
 @pytest.mark.parametrize("rates", [(5000.0, 50.0, 0.6), (7900.0, 79.0, 0.6), (2000.0, 0.0, 1.0)])
 def test_build_accepts_large_rates(rates):
     # rate J^dag J is the partial trace of the scaled jump term, so the
-    # trace row keeps within the absolute 1e-12 check at these rates
+    # trace row stays within an absolute 1e-12 at these rates
     g1, g2, eta = rates
     build_liouvillian(ModelParams.from_rates(g1, g2, eta, 1.0))
+
+
+@pytest.mark.parametrize("gamma1", [1e4, 1e6])
+def test_build_accepts_rates_beyond_the_absolute_trace_check(gamma1):
+    # residuals of 1.5e-12 and 1.1e-10 here, with max|S| 2.7e4 and 2.7e6:
+    # the checks are relative to max(1, max|S|)
+    build_liouvillian(ModelParams.from_rates(gamma1, gamma1 / 101.0, 0.6, 1.0))
 
 
 def test_build_and_apply_agree_on_random_hermitian(canonical_params, canonical_liouvillian):
