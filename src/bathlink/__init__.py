@@ -6,8 +6,7 @@ discord, and the short-time entanglement-generation witness.
 """
 
 from .correlations import (
-    CorrelationSample,
-    MeasurementAngles,
+    Correlations,
     discord,
     mutual_information,
     negativity,
@@ -56,10 +55,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CorrelationSample",
+    "Correlations",
     "DegenerateSteadyStateError",
     "Liouvillian",
-    "MeasurementAngles",
     "ModelParams",
     "NumericalInvariantError",
     "RegionScan",

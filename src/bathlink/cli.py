@@ -183,14 +183,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)
         traj = evolve_exact(liou, rho0, times)
     measured = discord(traj.states)
-    traces = np.trace(traj.states, axis1=1, axis2=2).real
-    min_eigs = np.linalg.eigvalsh(traj.states).min(axis=1)
-    rows = [
-        [t, s.negativity, s.mutual_info, s.discord, s.classical_corr, tr, me]
-        for t, s, tr, me in zip(traj.times, measured, traces, min_eigs)
-    ]
+    table = np.column_stack([
+        traj.times, measured.negativity, measured.mutual_info, measured.discord,
+        measured.classical_corr, np.trace(traj.states, axis1=1, axis2=2).real,
+        np.linalg.eigvalsh(traj.states).min(axis=1),
+    ])
     columns = ["t", "negativity", "mutual_info", "discord", "classical_corr", "trace", "min_eig"]
-    write_table(args.out, args.format or "csv", columns, rows)
+    write_table(args.out, args.format or "csv", columns, table)
     if args.states_out:
         trajectory_to_csv(traj, args.states_out)
     return 0
@@ -215,6 +214,35 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     return list(np.linspace(args.axis_min, args.axis_max, args.axis_steps))
 
 
+def _sweep_params(args: argparse.Namespace, values: list[float]) -> list[ModelParams]:
+    """The model parameters at every axis value, all checked before any is used."""
+    if args.axis == "eta":
+        if getattr(args, "eta", None) is not None:
+            raise ConfigError("config error: --axis eta sweeps eta; drop --eta")
+    elif args.temperature is not None or args.gamma1 is not None or args.gamma2 is not None:
+        raise ConfigError(
+            "config error: --axis temperature derives the rates; drop "
+            "--temperature/--gamma1/--gamma2"
+        )
+
+    def params_at(value: float) -> ModelParams:
+        if args.axis == "eta":
+            if value < 0:
+                raise ConfigError(f"config error: eta axis value {value} is negative")
+            return _resolve_params(args, eta=value)
+        if value <= 0:
+            raise ConfigError(f"config error: temperature axis value {value} must be > 0")
+        _require(args, ["eta", "omega"])
+        return ModelParams.from_temperature(
+            zeta=1.0 if args.zeta is None else args.zeta,
+            temperature=value,
+            eta=args.eta,
+            omega=args.omega,
+        )
+
+    return [params_at(value) for value in values]
+
+
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     _require(args, ["p", "q", "t_max", "observable", "axis"])
     samples = _samples(args)
@@ -223,41 +251,21 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     measures = {
         "negativity": negativity,
         "mutual_info": mutual_information,
-        "discord": lambda states: [s.discord for s in discord(states)],
+        "discord": lambda states: discord(states).discord,
     }
     if args.observable not in measures:
         raise ConfigError(f"config error: unknown observable {args.observable!r}")
     measure = measures[args.observable]
     rho0 = product_state(args.p, args.q)
     times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)
-
-    rows = []
-    for value in values:
-        if args.axis == "eta":
-            if getattr(args, "eta", None) is not None:
-                raise ConfigError("config error: --axis eta sweeps eta; drop --eta")
-            if value < 0:
-                raise ConfigError(f"config error: eta axis value {value} is negative")
-            params = _resolve_params(args, eta=value)
-        else:
-            if args.temperature is not None or args.gamma1 is not None or args.gamma2 is not None:
-                raise ConfigError(
-                    "config error: --axis temperature derives the rates; drop "
-                    "--temperature/--gamma1/--gamma2"
-                )
-            if value <= 0:
-                raise ConfigError(f"config error: temperature axis value {value} must be > 0")
-            _require(args, ["eta", "omega"])
-            params = ModelParams.from_temperature(
-                zeta=1.0 if args.zeta is None else args.zeta,
-                temperature=value,
-                eta=args.eta,
-                omega=args.omega,
-            )
-        liou = build_liouvillian(params)
-        traj = evolve_exact(liou, rho0, times)
-        rows.extend([t, value, x] for t, x in zip(traj.times, measure(traj.states)))
-    write_table(args.out, args.format or "csv", ["t", "axis_value", "observable"], rows)
+    blocks = []
+    for value, params in zip(values, _sweep_params(args, values)):
+        traj = evolve_exact(build_liouvillian(params), rho0, times)
+        blocks.append(np.column_stack(
+            [traj.times, np.full(len(traj), value), measure(traj.states)]
+        ))
+    write_table(args.out, args.format or "csv", ["t", "axis_value", "observable"],
+                np.concatenate(blocks))
     return 0
 
 

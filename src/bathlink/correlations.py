@@ -1,7 +1,9 @@
 """Correlation measures of the 4x4 pair state, in bits.
 
 Every measure takes one state ``(4, 4)`` or a stack ``(N, 4, 4)`` and works
-on the whole stack in array code.
+on the whole stack in array code.  :func:`discord` returns every measure at
+once as one :class:`Correlations` record of columns: a float per field for
+one state, an (N,) array per field for a stack.
 
 Negativity is computed from the eigenvalues of the partial transpose taken
 on the HO side, with the trace-norm form kept as a live internal
@@ -51,6 +53,8 @@ from ._kernels import (
 from .errors import ConfigError, NumericalInvariantError
 from .matops import partial_trace, partial_transpose_second
 
+#: Largest trace deviation an entropy input may have.
+ENTROPY_TRACE_TOL = 1e-6
 #: Coarse scan: theta in [0, pi/2] in steps of pi/16 (pole and equator
 #: included), phi in [0, 2*pi) in steps of pi/8.
 SCAN_THETAS = np.linspace(0.0, math.pi / 2.0, 9)
@@ -149,18 +153,18 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
     return float(from_eigs[0]) if single else from_eigs
 
 
-def _checked_entropies(rho: np.ndarray, trace_tol: float = 1e-6) -> np.ndarray:
-    """:func:`_entropies` after checking that every trace is 1 within ``trace_tol``."""
+def _checked_entropies(rho: np.ndarray) -> np.ndarray:
+    """:func:`_entropies` after checking that every trace is 1 within ``ENTROPY_TRACE_TOL``."""
     tr = np.trace(rho, axis1=-2, axis2=-1).real.ravel()
     worst = tr[np.argmax(np.abs(tr - 1.0))]
-    if abs(worst - 1.0) > trace_tol:
+    if abs(worst - 1.0) > ENTROPY_TRACE_TOL:
         raise ConfigError(f"entropy input has trace {worst:.9g}, expected 1")
     return _entropies(rho)
 
 
-def von_neumann_entropy(rho: np.ndarray, trace_tol: float = 1e-6) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """``-Tr(rho log2 rho)`` with eigenvalues below zero clipped to zero."""
-    return float(_checked_entropies(np.asarray(rho, dtype=complex), trace_tol))
+    return float(_checked_entropies(np.asarray(rho, dtype=complex)))
 
 
 def mutual_information(rho: np.ndarray) -> float | np.ndarray:
@@ -178,31 +182,21 @@ def mutual_information(rho: np.ndarray) -> float | np.ndarray:
 
 
 @dataclass(frozen=True)
-class MeasurementAngles:
-    """Bloch angles of the measured axis on the HO side (radians)."""
+class Correlations:
+    """Every correlation measure of a state or a stack (entropies in bits).
 
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-
-@dataclass(frozen=True)
-class CorrelationSample:
-    """All correlation measures of one state (entropies in bits).
-
-    ``mutual_info = classical_corr + discord`` holds by construction.
+    Each field is a float for one state and an (N,) array for a stack.
+    ``mutual_info = classical_corr + discord`` holds by construction;
+    ``theta`` in [0, pi/2] and ``phi`` in [0, 2 pi) are the Bloch angles of
+    the optimal measured axis on the HO side (radians).
     """
 
-    negativity: float
-    mutual_info: float
-    discord: float
-    classical_corr: float
-    optimal_angles: MeasurementAngles
+    negativity: float | np.ndarray
+    mutual_info: float | np.ndarray
+    discord: float | np.ndarray
+    classical_corr: float | np.ndarray
+    theta: float | np.ndarray
+    phi: float | np.ndarray
 
 
 def _tangent_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +302,7 @@ def _minimize_conditional_entropy(states: np.ndarray):
     return value[rows, k], theta, np.where(phi < 2.0 * math.pi, phi, 0.0)
 
 
-def discord(rho: np.ndarray) -> CorrelationSample | list[CorrelationSample]:
+def discord(rho: np.ndarray) -> Correlations:
     """Quantum discord with respect to projective measurements on HO.
 
     The classical correlation ``J = S(rho_Q) - min S(rho_Q|{measurement})``
@@ -317,23 +311,18 @@ def discord(rho: np.ndarray) -> CorrelationSample | list[CorrelationSample]:
     minimum of the scan, about 170-290 entropy evaluations per state (see
     the module docstring).  It meets the Nelder-Mead oracle of the tests
     within 1e-15 on the trajectory states, including the flat valleys at
-    ``eta = 1``.  Discord is ``I - J``.  One state gives a
-    :class:`CorrelationSample`; an (N, 4, 4) stack gives a list of N, and
-    each state's result does not depend on the rest of the stack.
+    ``eta = 1``.  Discord is ``I - J``.  Returns one :class:`Correlations`
+    record: floats for one state, (N,) arrays for an (N, 4, 4) stack.  Each
+    state's result does not depend on the rest of the stack.
     """
     states, single = _stack(rho)
     s_q = _checked_entropies(partial_trace(states, "first"))
     total = mutual_information(states)
     best, theta, phi = _minimize_conditional_entropy(states)
     classical = s_q - best
-    samples = [
-        CorrelationSample(
-            negativity=float(neg),
-            mutual_info=float(mi),
-            discord=float(mi - j),
-            classical_corr=float(j),
-            optimal_angles=MeasurementAngles(float(th), float(ph)),
-        )
-        for neg, mi, j, th, ph in zip(negativity(states), total, classical, theta, phi)
-    ]
-    return samples[0] if single else samples
+    fields = {"negativity": negativity(states), "mutual_info": total,
+              "discord": total - classical, "classical_corr": classical,
+              "theta": theta, "phi": phi}
+    if single:
+        fields = {name: float(column[0]) for name, column in fields.items()}
+    return Correlations(**fields)

@@ -18,7 +18,7 @@ import numpy as np
 from ._format import write_table
 from .errors import ConfigError, NumericalInvariantError, StabilityError
 from .matops import matrix_exp, unvec, vec
-from .model import Liouvillian, ModelParams
+from .model import Liouvillian
 
 log = logging.getLogger(__name__)
 
@@ -31,18 +31,14 @@ PSD_TOL = -1e-8
 
 
 def validate_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = TRACE_TOL,
-    herm_tol: float = HERM_TOL,
-    psd_tol: float = PSD_TOL,
-    context: str = "state",
-    times: np.ndarray | None = None,
+    rho: np.ndarray, context: str = "state", times: np.ndarray | None = None
 ) -> None:
     """Check unit trace, Hermiticity, and positivity; raise with a diagnostic.
 
-    ``rho`` is one state ``(4, 4)`` or a stack ``(N, 4, 4)``, checked with
-    one stacked eigensolver call.  The first failing state of a stack is
-    named by its time in ``times`` when given, else by its index.
+    The tolerances are ``TRACE_TOL``, ``HERM_TOL`` and ``PSD_TOL``.  ``rho``
+    is one state ``(4, 4)`` or a stack ``(N, 4, 4)``, checked with one
+    stacked eigensolver call.  The first failing state of a stack is named
+    by its time in ``times`` when given, else by its index.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
@@ -53,15 +49,15 @@ def validate_density_matrix(
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     herm_dev = np.abs(stack - adjoint).max(axis=(1, 2))
     min_eig = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=1)
-    bad = (tr_dev >= trace_tol) | (herm_dev >= herm_tol) | (min_eig <= psd_tol)
+    bad = (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL) | (min_eig <= PSD_TOL)
     if not bad.any():
         return
     k = int(np.argmax(bad))
     if rho.ndim == 3:
         context = f"{context} at t={times[k]:g}" if times is not None else f"{context} {k}"
-    if tr_dev[k] >= trace_tol:
+    if tr_dev[k] >= TRACE_TOL:
         raise NumericalInvariantError(f"{context}: trace deviates by {tr_dev[k]:.3e}")
-    if herm_dev[k] >= herm_tol:
+    if herm_dev[k] >= HERM_TOL:
         raise NumericalInvariantError(f"{context}: Hermiticity deviation {herm_dev[k]:.3e}")
     raise NumericalInvariantError(f"{context}: negative eigenvalue {min_eig[k]:.3e}")
 
@@ -84,7 +80,7 @@ def product_state(p: float, q: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered states with the parameters that produced them.
+    """Time-ordered states of one propagation.
 
     ``times`` is strictly increasing with ``times[0] = 0``; every stored
     state satisfies the density-matrix invariants.  The two ``max_*``
@@ -94,8 +90,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    params: ModelParams
-    initial_spec: str
     max_hermiticity_correction: float = 0.0
     max_trace_correction: float = 0.0
 
@@ -120,6 +114,19 @@ class Trajectory:
         return self.states[-1]
 
 
+def _sample(step: np.ndarray, rho0: np.ndarray, count: int) -> np.ndarray:
+    """``rho0`` and its ``count`` successive images under the 16x16 map ``step``.
+
+    Returns a ``(count + 1, 4, 4)`` stack, filled one matrix-vector product
+    per sample.
+    """
+    v = np.empty((count + 1, 16), dtype=complex)
+    v[0] = vec(rho0)
+    for k in range(count):
+        v[k + 1] = step @ v[k]
+    return unvec(v)
+
+
 def evolve_rk(
     liouvillian: Liouvillian,
     rho0: np.ndarray,
@@ -138,10 +145,12 @@ def evolve_rk(
     degree-4 Taylor polynomial ``P(hS) = 1 + hS + (hS)^2/2 + (hS)^3/6 +
     (hS)^4/24`` (its stability function).  The map between samples,
     ``P(hS)^substeps``, is built once by repeated squaring and applied with
-    one matrix-vector product per sample.  Each stored state is
-    re-Hermitized and trace-renormalized, with the largest corrections
-    recorded on the returned trajectory; a trace drift of ``TRACE_TOL`` or
-    more (too few steps, or so many that rounding dominates) raises.
+    one matrix-vector product per sample.  The samples after ``t = 0`` are
+    then re-Hermitized and trace-renormalized as one stack, with the largest
+    corrections recorded on the returned trajectory; the corrections are not
+    fed back, so each sample is the integrator's own image of ``rho0``.  A
+    trace drift of ``TRACE_TOL`` or more (too few steps, or so many that
+    rounding dominates) raises at the first sample that shows it.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0, context="initial state")
@@ -152,12 +161,7 @@ def evolve_rk(
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if t_max == 0.0:
-        return Trajectory(
-            times=np.zeros(1),
-            states=rho0[None, :, :],
-            params=liouvillian.params,
-            initial_spec="as supplied",
-        )
+        return Trajectory(times=np.zeros(1), states=rho0[None, :, :])
     substeps = max(1, -(-steps // samples))
     try:
         h = t_max / (samples * substeps)
@@ -173,40 +177,31 @@ def evolve_rk(
             f"{liouvillian.spectral_radius:.3e} is >= 1; increase steps"
         )
     times = np.linspace(0.0, t_max, samples + 1)
-    states = np.empty((samples + 1, 4, 4), dtype=complex)
-    states[0] = rho0
     a = h * liouvillian.superop
     eye = np.eye(16)
     taylor = eye + a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))
-    step = np.linalg.matrix_power(taylor, substeps)
-    v = vec(rho0)
-    max_herm = 0.0
-    max_tr = 0.0
-    for k in range(1, samples + 1):
-        rho = unvec(step @ v)
-        herm_corr = float(np.abs(rho - rho.conj().T).max()) / 2.0
-        rho = (rho + rho.conj().T) / 2.0
-        tr = float(np.trace(rho).real)
-        tr_corr = abs(tr - 1.0)
-        if not tr_corr < TRACE_TOL:  # also catches a NaN trace
-            raise NumericalInvariantError(
-                f"trace drifted by {tr_corr:.3e} at t={times[k]:g}; "
-                "the step count is too small, or so large that rounding dominates"
-            )
-        rho = rho / tr
-        max_herm = max(max_herm, herm_corr)
-        max_tr = max(max_tr, tr_corr)
-        states[k] = rho
-        v = vec(rho)
+    raw = _sample(np.linalg.matrix_power(taylor, substeps), rho0, samples)[1:]
+    adjoint = raw.conj().swapaxes(1, 2)
+    herm_corr = np.abs(raw - adjoint).max(axis=(1, 2)) / 2.0
+    hermitian = (raw + adjoint) / 2.0
+    tr = np.trace(hermitian, axis1=1, axis2=2).real
+    tr_corr = np.abs(tr - 1.0)
+    drifted = ~(tr_corr < TRACE_TOL)  # also catches a NaN trace
+    if drifted.any():
+        k = int(np.argmax(drifted))
+        raise NumericalInvariantError(
+            f"trace drifted by {tr_corr[k]:.3e} at t={times[k + 1]:g}; "
+            "the step count is too small, or so large that rounding dominates"
+        )
+    max_herm = float(herm_corr.max())
+    max_tr = float(tr_corr.max())
     log.debug(
         "evolve_rk: %d samples x %d substeps, h=%.3e, max corrections herm=%.3e trace=%.3e",
         samples, substeps, h, max_herm, max_tr,
     )
     return Trajectory(
         times=times,
-        states=states,
-        params=liouvillian.params,
-        initial_spec="as supplied",
+        states=np.concatenate([rho0[None], hermitian / tr[:, None, None]]),
         max_hermiticity_correction=max_herm,
         max_trace_correction=max_tr,
     )
@@ -238,26 +233,13 @@ def evolve_exact(
         raise ConfigError("times must be a non-empty 1-D sequence")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ConfigError("times must start at 0 and increase strictly")
-    states = np.empty((times.size, 4, 4), dtype=complex)
-    states[0] = rho0
-    if times.size > 1:
-        dts = np.diff(times)
-        uniform = np.allclose(dts, dts[0], rtol=1e-12, atol=0.0)
-        if uniform:
-            step = matrix_exp(liouvillian.superop, float(dts[0]))
-            v = vec(rho0)
-            for k in range(1, times.size):
-                v = step @ v
-                states[k] = unvec(v)
-        else:
-            for k in range(1, times.size):
-                states[k] = propagate(liouvillian, rho0, float(times[k]))
-    return Trajectory(
-        times=times,
-        states=states,
-        params=liouvillian.params,
-        initial_spec="as supplied",
-    )
+    dts = np.diff(times)
+    if dts.size == 0 or np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
+        step = matrix_exp(liouvillian.superop, float(dts[0]) if dts.size else 0.0)
+        states = _sample(step, rho0, dts.size)
+    else:
+        states = np.array([rho0] + [propagate(liouvillian, rho0, float(t)) for t in times[1:]])
+    return Trajectory(times=times, states=states)
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:

@@ -198,8 +198,9 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, n: int = 4) -> np.ndarray:
-    """Inverse of :func:`vec` for an n x n matrix."""
-    return np.asarray(v, dtype=complex).reshape(n, n, order="F")
+    """Inverse of :func:`vec` for an n x n matrix, or for each row of an (N, n*n) stack."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(*v.shape[:-1], n, n).swapaxes(-1, -2)
 
 
 def matrix_to_dict(a: np.ndarray) -> dict:

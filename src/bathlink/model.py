@@ -55,6 +55,16 @@ SM_HO = kron(ID2, SIGMA_M)
 _EYE4 = np.eye(4, dtype=complex)
 
 _RATE_CONSISTENCY_TOL = 1e-9
+#: Largest Hermiticity deviation of a state that :func:`apply_liouvillian` accepts.
+APPLY_HERM_TOL = 1e-9
+#: Generator eigenvalues below this in modulus count toward the kernel dimension.
+NULL_TOL = 1e-8
+
+#: Coherence order ``n_i - n_j`` of vec index ``i + 4 j``, excitations n = (0, 1, 1, 2).
+#: Collective raising and lowering conserve it (weak U(1) symmetry; Buca &
+#: Prosen, NJP 14, 073007 (2012)), so the generator is block diagonal in it.
+_ORDER = np.subtract.outer([0, 1, 1, 2], [0, 1, 1, 2]).ravel(order="F")
+_CROSS_ORDER = _ORDER[:, None] != _ORDER[None, :]
 
 
 def rates_from_temperature(zeta: float, temperature: float) -> tuple[float, float]:
@@ -228,19 +238,18 @@ def _rhs(params: ModelParams, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_liouvillian(
-    params: ModelParams, rho: np.ndarray, herm_tol: float = 1e-9
-) -> np.ndarray:
+def apply_liouvillian(params: ModelParams, rho: np.ndarray) -> np.ndarray:
     """Right-hand side of the master equation for a Hermitian ``rho``.
 
-    The output is traceless and Hermitian to machine precision.
+    ``rho`` must be Hermitian within ``APPLY_HERM_TOL``.  The output is
+    traceless and Hermitian to machine precision.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got {rho.shape}")
     dev = float(np.abs(rho - rho.conj().T).max())
-    if dev >= herm_tol:
-        raise ConfigError(f"state is not Hermitian within {herm_tol:g} (deviation {dev:.3e})")
+    if dev >= APPLY_HERM_TOL:
+        raise ConfigError(f"state is not Hermitian within {APPLY_HERM_TOL:g} (deviation {dev:.3e})")
     return _rhs(params, rho)
 
 
@@ -276,14 +285,15 @@ def _lift_dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
     return jump_term - 0.5 * np.kron(_EYE4, jdj) - 0.5 * np.kron(jdj.T, _EYE4)
 
 
-def build_liouvillian(params: ModelParams, validate: bool = True) -> Liouvillian:
+def build_liouvillian(params: ModelParams) -> Liouvillian:
     """Assemble the 16x16 superoperator from the two collective jump operators.
 
     ``S = -i (1 kron H - H^T kron 1) + 2 gamma1 D[J_down] + 2 gamma2 D[J_up]``
     with ``J_down = sigma_-^Q + eta sigma_-^HO`` and ``J_up = sigma_+^Q +
     eta sigma_+^HO``: the rank-two Kossakowski matrix written through its two
-    nonzero eigenvectors.  With ``validate`` the generator must annihilate
-    the trace and have no eigenvalue with a positive real part, both within
+    nonzero eigenvectors.  The generator must couple no two different
+    coherence orders (those entries exactly 0.0), annihilate the trace and
+    have no eigenvalue with a positive real part, the last two within
     rounding: 1e-12 and 1e-10 times ``max(1, max|S|)``.
     """
     h = hamiltonian(params)
@@ -294,20 +304,24 @@ def build_liouvillian(params: ModelParams, validate: bool = True) -> Liouvillian
          + _lift_dissipator(2.0 * params.gamma2, j_up))
     eigvals = np.linalg.eigvals(s)
     radius = float(np.abs(eigvals).max())
-    if validate:
-        # both residuals are rounding of entries as large as max|S|
-        scale = max(1.0, float(np.abs(s).max()))
-        trace_row = vec(np.eye(4)).conj() @ s
-        worst = float(np.abs(trace_row).max())
-        if worst >= 1e-12 * scale:
-            raise NumericalInvariantError(
-                f"generator does not annihilate the trace (max {worst:.3e}, max|S| {scale:.3e})"
-            )
-        max_re = float(eigvals.real.max())
-        if max_re > 1e-10 * scale:
-            raise NumericalInvariantError(
-                f"generator eigenvalue with positive real part {max_re:.3e}"
-            )
+    leak = float(np.abs(s[_CROSS_ORDER]).max())
+    if leak != 0.0:
+        raise NumericalInvariantError(
+            f"generator couples different coherence orders (max entry {leak:.3e})"
+        )
+    # both residuals are rounding of entries as large as max|S|
+    scale = max(1.0, float(np.abs(s).max()))
+    trace_row = vec(np.eye(4)).conj() @ s
+    worst = float(np.abs(trace_row).max())
+    if worst >= 1e-12 * scale:
+        raise NumericalInvariantError(
+            f"generator does not annihilate the trace (max {worst:.3e}, max|S| {scale:.3e})"
+        )
+    max_re = float(eigvals.real.max())
+    if max_re > 1e-10 * scale:
+        raise NumericalInvariantError(
+            f"generator eigenvalue with positive real part {max_re:.3e}"
+        )
     return Liouvillian(
         params=params,
         superop=s,
@@ -343,23 +357,21 @@ class SteadyStateResult:
 
 
 def steady_state_numeric(
-    liouvillian: Liouvillian,
-    null_tol: float = 1e-8,
-    require_unique: bool = True,
+    liouvillian: Liouvillian, require_unique: bool = True
 ) -> SteadyStateResult:
     """Steady state from the eigenvector of the eigenvalue nearest zero.
 
-    ``null_space_dim`` counts generator eigenvalues with ``|lambda| < null_tol``.
+    ``null_space_dim`` counts generator eigenvalues with ``|lambda| < NULL_TOL``.
     When it differs from one the steady manifold is degenerate and the
     returned state is an arbitrary element of it; with ``require_unique``
     (the default) that situation raises instead of silently picking one.
     """
     w, v = np.linalg.eig(liouvillian.superop)
     order = np.argsort(np.abs(w))
-    dim = int(np.sum(np.abs(w) < null_tol))
+    dim = int(np.sum(np.abs(w) < NULL_TOL))
     if require_unique and dim != 1:
         raise DegenerateSteadyStateError(
-            f"steady manifold has dimension {dim} (eigenvalues within {null_tol:g} "
+            f"steady manifold has dimension {dim} (eigenvalues within {NULL_TOL:g} "
             "of zero); pass require_unique=False to inspect it"
         )
     candidate = unvec(v[:, order[0]])

@@ -34,15 +34,19 @@ from .matops import matrix_exp, partial_transpose_second
 from .model import Liouvillian, ModelParams, apply_liouvillian, build_liouvillian
 
 
-def xi(rho: np.ndarray, psi: np.ndarray, norm_tol: float = 1e-12) -> float:
-    """``<psi| rho^T_HO |psi>`` for a unit-norm direction.
+#: Largest deviation of ``|psi|`` from 1 that :func:`xi` accepts.
+PSI_NORM_TOL = 1e-12
+
+
+def xi(rho: np.ndarray, psi: np.ndarray) -> float:
+    """``<psi| rho^T_HO |psi>`` for a unit-norm direction (within ``PSI_NORM_TOL``).
 
     The imaginary part vanishes by Hermiticity and is asserted below 1e-10.
     """
     psi = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) >= norm_tol:
-        raise ConfigError(f"psi must be normalized within {norm_tol:g}, |psi| = {norm:.12g}")
+    if abs(norm - 1.0) >= PSI_NORM_TOL:
+        raise ConfigError(f"psi must be normalized within {PSI_NORM_TOL:g}, |psi| = {norm:.12g}")
     value = complex(psi.conj() @ partial_transpose_second(rho) @ psi)
     if abs(value.imag) >= 1e-10:
         raise NumericalInvariantError(

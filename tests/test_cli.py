@@ -271,6 +271,26 @@ def test_heatmap_temperature_axis_rejects_rate_flags(tmp_path, capsys):
     assert "derives the rates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,values,message", [
+    ("eta", "0.5,-1", "eta axis value -1.0 is negative"),
+    ("temperature", "0.5,0", "temperature axis value 0.0 must be > 0"),
+])
+def test_heatmap_checks_every_value_before_building(tmp_path, capsys, monkeypatch,
+                                                    axis, values, message):
+    import bathlink.cli as cli
+
+    builds = []
+    monkeypatch.setattr(cli, "build_liouvillian", lambda p: builds.append(p))
+    flags = ["--omega", "0.001"] + (["--gamma1", "1.01", "--gamma2", "0.01"]
+                                    if axis == "eta" else ["--eta", "1"])
+    out = tmp_path / "heat.csv"
+    assert main(["heatmap", *flags, "--observable", "negativity", "--axis", axis,
+                 "--axis-values", values, "--p", "1", "--q", "0", "--t-max", "1",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert builds == [] and not out.exists()
+
+
 def test_heatmap_range_axis(tmp_path):
     out = tmp_path / "heat2.csv"
     assert main(["heatmap", *CANON, "--observable", "mutual_info",

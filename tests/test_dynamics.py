@@ -183,22 +183,19 @@ def test_equal_coupling_conserves_antisymmetric_population(canonical_liouvillian
 # ------------------------------------------------------------- trajectories
 
 def test_trajectory_validates_times():
-    p = ModelParams.from_rates(1.01, 0.01, 1.0, 0.001)
     states = np.repeat(product_state(1.0, 0.0)[None], 2, axis=0)
     with pytest.raises(NumericalInvariantError):
-        Trajectory(times=np.array([0.1, 0.2]), states=states, params=p, initial_spec="x")
+        Trajectory(times=np.array([0.1, 0.2]), states=states)
     with pytest.raises(NumericalInvariantError):
-        Trajectory(times=np.array([0.0, 0.0]), states=states, params=p, initial_spec="x")
+        Trajectory(times=np.array([0.0, 0.0]), states=states)
 
 
 def test_trajectory_names_the_time_of_a_bad_state():
-    p = ModelParams.from_rates(1.01, 0.01, 1.0, 0.001)
     states = np.repeat(product_state(1.0, 0.0)[None], 4, axis=0)
     states[2] = np.diag([1.2, -0.2, 0.0, 0.0])  # unit trace, one negative eigenvalue
     with pytest.raises(NumericalInvariantError,
                        match=r"^state at t=0\.2: negative eigenvalue -2\.000e-01$"):
-        Trajectory(times=np.array([0.0, 0.1, 0.2, 0.3]), states=states, params=p,
-                   initial_spec="x")
+        Trajectory(times=np.array([0.0, 0.1, 0.2, 0.3]), states=states)
 
 
 def test_validate_stack_reports_first_bad_state():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bathlink.errors import ConfigError, DegenerateSteadyStateError
+import bathlink.model as model
+from bathlink.errors import ConfigError, DegenerateSteadyStateError, NumericalInvariantError
 from bathlink.matops import trace_norm, unvec, vec
 from bathlink.model import (
     ModelParams,
@@ -15,7 +18,7 @@ from bathlink.model import (
     steady_state_analytic,
     steady_state_numeric,
 )
-from oracles import kossakowski_liouvillian, max_abs_diff, random_hermitian
+from oracles import kossakowski_liouvillian, max_abs_diff, random_density, random_hermitian
 
 
 def ket(index):
@@ -191,6 +194,41 @@ def test_build_accepts_rates_beyond_the_absolute_trace_check(gamma1):
     # residuals of 1.5e-12 and 1.1e-10 here, with max|S| 2.7e4 and 2.7e6:
     # the checks are relative to max(1, max|S|)
     build_liouvillian(ModelParams.from_rates(gamma1, gamma1 / 101.0, 0.6, 1.0))
+
+
+# coherence order n_i - n_j of vec index i + 4 j, excitations (0, 1, 1, 2):
+# sectors of sizes 1, 4, 6, 4 and 1
+_ORDER = np.array([[0, 1, 1, 2][a % 4] - [0, 1, 1, 2][a // 4] for a in range(16)])
+_CROSS = _ORDER[:, None] != _ORDER[None, :]
+_PROBES = [random_density(np.random.default_rng(2100 + k)) for k in range(3)]
+
+
+def test_build_rejects_a_cross_order_entry(monkeypatch):
+    lift = model._lift_dissipator
+
+    def leaky(rate, jump):
+        out = lift(rate, jump).copy()
+        out[1, 0] += 1e-3  # rho_10 (order 1) fed from rho_00 (order 0)
+        return out
+
+    monkeypatch.setattr(model, "_lift_dissipator", leaky)
+    with pytest.raises(NumericalInvariantError, match="couples different coherence orders"):
+        build_liouvillian(ModelParams.from_rates(1.01, 0.01, 0.6, 0.001))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gamma1=st.floats(1e-8, 1e4), gamma2=st.floats(1e-8, 1e4),
+       eta=st.floats(0.0, 100.0), omega=st.floats(1e-4, 1e3))
+def test_generator_properties(gamma1, gamma2, eta, omega):
+    params = ModelParams.from_rates(gamma1, gamma2, eta, omega)
+    s = build_liouvillian(params).superop
+    bound = 1e-12 * max(1.0, float(np.abs(s).max()))
+    for rho in _PROBES:
+        assert max_abs_diff(apply_liouvillian(params, rho), unvec(s @ vec(rho))) <= bound
+    assert np.abs(vec(np.eye(4)).conj() @ s).max() <= bound
+    assert np.all(s[_CROSS] == 0.0)
+    k = kossakowski_matrix(params)
+    assert np.linalg.eigvalsh(k).min() >= -1e-12 * max(1.0, float(np.abs(k).max()))
 
 
 def test_build_and_apply_agree_on_random_hermitian(canonical_params, canonical_liouvillian):
