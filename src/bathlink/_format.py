@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import NumericalInvariantError
 
+#: CSV rows formatted per ``%`` call: one call per row costs interpreter
+#: time, one for the whole table holds a second copy of its text.
+_BLOCK_ROWS = 1024
+
 
 def fmt(x: float) -> str:
     """Fixed 12-significant-digit float rendering ('.' decimal separator).
@@ -78,5 +82,6 @@ def write_table(path: str, kind: str, columns: list[str], rows) -> None:
     line = ",".join(["%.12g"] * len(columns)) + "\n"
     with atomic_write(path) as f:
         f.write(",".join(columns) + "\n")
-        for row in table:
-            f.write(line % tuple(row))
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))

@@ -258,12 +258,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     measure = measures[args.observable]
     rho0 = product_state(args.p, args.q)
     times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)
-    blocks = []
-    for value, params in zip(values, _sweep_params(args, values)):
-        traj = evolve_exact(build_liouvillian(params), rho0, times)
-        blocks.append(np.column_stack(
-            [traj.times, np.full(len(traj), value), measure(traj.states)]
-        ))
+    trajectories = evolve_exact(build_liouvillian(_sweep_params(args, values)), rho0, times)
+    blocks = [np.column_stack([traj.times, np.full(len(traj), value), measure(traj.states)])
+              for value, traj in zip(values, trajectories)]
     write_table(args.out, args.format or "csv", ["t", "axis_value", "observable"],
                 np.concatenate(blocks))
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +116,17 @@ class Trajectory:
 
 
 def _sample(step: np.ndarray, rho0: np.ndarray, count: int) -> np.ndarray:
-    """``rho0`` and its ``count`` successive images under the 16x16 map ``step``.
+    """``rho0`` and its ``count`` successive images under each 16x16 map of ``step``.
 
-    Returns a ``(count + 1, 4, 4)`` stack, filled one matrix-vector product
-    per sample.
+    ``step`` is one map ``(16, 16)`` or a stack ``(K, 16, 16)``; the result
+    is ``(count + 1, 4, 4)`` or ``(count + 1, K, 4, 4)``, filled with one
+    (batched) matrix-vector product per sample.
     """
-    v = np.empty((count + 1, 16), dtype=complex)
-    v[0] = vec(rho0)
+    v = np.empty((count + 1,) + step.shape[:-1] + (1,), dtype=complex)
+    v[0] = vec(rho0)[:, None]
     for k in range(count):
-        v[k + 1] = step @ v[k]
-    return unvec(v)
+        np.matmul(step, v[k], out=v[k + 1])
+    return unvec(v[..., 0])
 
 
 def evolve_rk(
@@ -219,13 +221,19 @@ def propagate(liouvillian: Liouvillian, rho: np.ndarray, t: float) -> np.ndarray
 
 
 def evolve_exact(
-    liouvillian: Liouvillian, rho0: np.ndarray, times: np.ndarray
-) -> Trajectory:
+    liouvillian: Liouvillian | Sequence[Liouvillian], rho0: np.ndarray, times: np.ndarray
+) -> Trajectory | list[Trajectory]:
     """Exact trajectory at the given times (ascending, starting at 0).
 
     A uniform grid costs a single ``expm`` followed by repeated
     application; otherwise one exponential per sample time is taken.
+    ``liouvillian`` may also be a sequence of generators on a uniform grid:
+    then one ``expm`` per generator is taken, all of them are stepped
+    together, one batched product per sample, and one trajectory per
+    generator is returned.
     """
+    single = isinstance(liouvillian, Liouvillian)
+    generators = [liouvillian] if single else list(liouvillian)
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0, context="initial state")
     times = np.asarray(times, dtype=float)
@@ -235,11 +243,17 @@ def evolve_exact(
         raise ConfigError("times must start at 0 and increase strictly")
     dts = np.diff(times)
     if dts.size == 0 or np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
-        step = matrix_exp(liouvillian.superop, float(dts[0]) if dts.size else 0.0)
-        states = _sample(step, rho0, dts.size)
+        dt = float(dts[0]) if dts.size else 0.0
+        steps = np.array([matrix_exp(g.superop, dt) for g in generators]).reshape(-1, 16, 16)
+        stack = _sample(steps, rho0, dts.size)
+        trajectories = [Trajectory(times=times, states=stack[:, k])
+                        for k in range(len(generators))]
+    elif single:
+        states = [rho0] + [propagate(liouvillian, rho0, float(t)) for t in times[1:]]
+        trajectories = [Trajectory(times=times, states=np.array(states))]
     else:
-        states = np.array([rho0] + [propagate(liouvillian, rho0, float(t)) for t in times[1:]])
-    return Trajectory(times=times, states=states)
+        raise ConfigError("a sequence of generators needs a uniform time grid")
+    return trajectories[0] if single else trajectories
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:

@@ -30,6 +30,7 @@ reports the kernel dimension instead of assuming uniqueness.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,11 @@ SP_HO = kron(ID2, SIGMA_P)
 SM_HO = kron(ID2, SIGMA_M)
 
 _EYE4 = np.eye(4, dtype=complex)
+#: The two diagonal terms of H per unit omega: ``sigma_z (x) 1`` and ``1 (x) sigma_+ sigma_-``.
+_H_QUBIT = kron(SIGMA_Z, ID2)
+_H_OSCILLATOR = kron(ID2, SIGMA_P @ SIGMA_M)
+#: ``vec(1)^dag``: the row that takes the trace of ``unvec(S x)``.
+_TRACE_ROW = vec(np.eye(4)).conj()
 
 _RATE_CONSISTENCY_TOL = 1e-9
 #: Largest Hermiticity deviation of a state that :func:`apply_liouvillian` accepts.
@@ -176,9 +182,7 @@ class ModelParams:
 
 def hamiltonian(params: ModelParams) -> np.ndarray:
     """``(omega/2) sigma_z (x) 1 + omega 1 (x) sigma_+ sigma_-`` (4x4, diagonal)."""
-    return 0.5 * params.omega * kron(SIGMA_Z, ID2) + params.omega * kron(
-        ID2, SIGMA_P @ SIGMA_M
-    )
+    return 0.5 * params.omega * _H_QUBIT + params.omega * _H_OSCILLATOR
 
 
 def kossakowski_matrix(params: ModelParams) -> np.ndarray:
@@ -272,20 +276,33 @@ class Liouvillian:
         return unvec(self.superop @ vec(rho))
 
 
-def _lift_dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
-    """``rate D[J]`` as a 16x16 superoperator, ``D[J] rho = J rho J^dag - {J^dag J, rho}/2``.
+def _bkron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of 4x4 stacks, broadcast over the leading axes.
 
-    Under column stacking ``D[J] = conj(J) kron J - (1 kron J^dag J)/2
-    - ((J^dag J)^T kron 1)/2``.  ``rate J^dag J`` is read off the scaled
-    jump term as its partial trace: those are the sums the trace row takes,
-    so the trace row cancels up to their rounding at any rate.
+    Each entry is the one product ``a_ij b_kl`` that ``np.kron`` forms, so
+    each ``(16, 16)`` slice equals ``np.kron`` of the matching pair bitwise.
     """
-    jump_term = rate * np.kron(jump.conj(), jump)
-    jdj = np.einsum("kkjl->jl", jump_term.reshape(4, 4, 4, 4))
-    return jump_term - 0.5 * np.kron(_EYE4, jdj) - 0.5 * np.kron(jdj.T, _EYE4)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (16, 16))
 
 
-def build_liouvillian(params: ModelParams) -> Liouvillian:
+def _lift_dissipator(rate: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """``rate D[J]`` as 16x16 superoperators over ``(K, 1, 1)`` rates and ``(K, 4, 4)`` jumps.
+
+    ``D[J] rho = J rho J^dag - {J^dag J, rho}/2``; under column stacking
+    ``D[J] = conj(J) kron J - (1 kron J^dag J)/2 - ((J^dag J)^T kron 1)/2``.
+    ``rate J^dag J`` is read off the scaled jump term as its partial trace:
+    those are the sums the trace row takes, so the trace row cancels up to
+    their rounding at any rate.
+    """
+    jump_term = rate * _bkron(jump.conj(), jump)
+    jdj = np.einsum("nkkjl->njl", jump_term.reshape(-1, 4, 4, 4, 4))
+    return jump_term - 0.5 * _bkron(_EYE4, jdj) - 0.5 * _bkron(jdj.swapaxes(1, 2), _EYE4)
+
+
+def build_liouvillian(
+    params: ModelParams | Sequence[ModelParams],
+) -> Liouvillian | list[Liouvillian]:
     """Assemble the 16x16 superoperator from the two collective jump operators.
 
     ``S = -i (1 kron H - H^T kron 1) + 2 gamma1 D[J_down] + 2 gamma2 D[J_up]``
@@ -295,39 +312,49 @@ def build_liouvillian(params: ModelParams) -> Liouvillian:
     coherence orders (those entries exactly 0.0), annihilate the trace and
     have no eigenvalue with a positive real part, the last two within
     rounding: 1e-12 and 1e-10 times ``max(1, max|S|)``.
+
+    ``params`` is one point, which gives one :class:`Liouvillian`, or a
+    sequence of points, which gives a list of them.  Either way all points
+    go through one broadcast lift and one stacked ``eigvals`` call; the
+    error of a failing generator names its parameters.
     """
-    h = hamiltonian(params)
-    j_down = SM_Q + params.eta * SM_HO
-    j_up = SP_Q + params.eta * SP_HO
-    s = (-1j * (np.kron(_EYE4, h) - np.kron(h.T, _EYE4))
-         + _lift_dissipator(2.0 * params.gamma1, j_down)
-         + _lift_dissipator(2.0 * params.gamma2, j_up))
-    eigvals = np.linalg.eigvals(s)
-    radius = float(np.abs(eigvals).max())
-    leak = float(np.abs(s[_CROSS_ORDER]).max())
-    if leak != 0.0:
-        raise NumericalInvariantError(
-            f"generator couples different coherence orders (max entry {leak:.3e})"
-        )
-    # both residuals are rounding of entries as large as max|S|
-    scale = max(1.0, float(np.abs(s).max()))
-    trace_row = vec(np.eye(4)).conj() @ s
-    worst = float(np.abs(trace_row).max())
-    if worst >= 1e-12 * scale:
-        raise NumericalInvariantError(
-            f"generator does not annihilate the trace (max {worst:.3e}, max|S| {scale:.3e})"
-        )
-    max_re = float(eigvals.real.max())
-    if max_re > 1e-10 * scale:
-        raise NumericalInvariantError(
-            f"generator eigenvalue with positive real part {max_re:.3e}"
-        )
-    return Liouvillian(
-        params=params,
-        superop=s,
-        eigenvalues=eigvals,
-        spectral_radius=radius,
+    points = [params] if isinstance(params, ModelParams) else list(params)
+    omega, gamma1, gamma2, eta = (
+        np.array([getattr(p, name) for p in points], dtype=float).reshape(-1, 1, 1)
+        for name in ("omega", "gamma1", "gamma2", "eta")
     )
+    h = 0.5 * omega * _H_QUBIT + omega * _H_OSCILLATOR
+    s = (-1j * (_bkron(_EYE4, h) - _bkron(h.swapaxes(1, 2), _EYE4))
+         + _lift_dissipator(2.0 * gamma1, SM_Q + eta * SM_HO)
+         + _lift_dissipator(2.0 * gamma2, SP_Q + eta * SP_HO))
+    eigvals = np.linalg.eigvals(s)
+    leak = np.abs(s[:, _CROSS_ORDER]).max(axis=1)
+    # both residuals are rounding of entries as large as max|S|
+    scale = np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
+    worst = np.abs(_TRACE_ROW @ s).max(axis=1)
+    max_re = eigvals.real.max(axis=1)
+    bad = (leak != 0.0) | (worst >= 1e-12 * scale) | (max_re > 1e-10 * scale)
+    if bad.any():
+        k = int(np.argmax(bad))
+        at = ", ".join(f"{key}={value:g}" for key, value in points[k].to_dict().items())
+        if leak[k] != 0.0:
+            raise NumericalInvariantError(
+                f"generator couples different coherence orders (max entry {leak[k]:.3e}) at {at}"
+            )
+        if worst[k] >= 1e-12 * scale[k]:
+            raise NumericalInvariantError(
+                f"generator does not annihilate the trace (max {worst[k]:.3e}, "
+                f"max|S| {scale[k]:.3e}) at {at}"
+            )
+        raise NumericalInvariantError(
+            f"generator eigenvalue with positive real part {max_re[k]:.3e} at {at}"
+        )
+    built = [
+        Liouvillian(params=p, superop=s[k], eigenvalues=eigvals[k],
+                    spectral_radius=float(np.abs(eigvals[k]).max()))
+        for k, p in enumerate(points)
+    ]
+    return built[0] if isinstance(params, ModelParams) else built
 
 
 def steady_state_analytic(params: ModelParams) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here is deliberately written against raw numpy/scipy so the
 quantities being tested are derived along a different route than the code
 under test.  The exact propagator is ``scipy.linalg.expm``, not the
-package's ``matrix_exp``; the generator oracle lifts the Kossakowski matrix
-entry by entry, and the RK4 oracle runs the k1-k4 stages one step at a
+package's ``matrix_exp``; one generator oracle lifts the Kossakowski matrix
+entry by entry, another builds one point at a time with ``np.kron``, and
+the RK4 oracle runs the k1-k4 stages one step at a
 time.  The only package code used is the error type and
 ``matops.partial_transpose_second``.
 """
@@ -290,6 +291,32 @@ def kossakowski_liouvillian(h, k):
                 - 0.5 * np.kron(gjd_gi.T, eye4)
             )
     return s
+
+
+def per_value_liouvillian(params):
+    """16x16 generator of one parameter point, one ``np.kron`` at a time.
+
+    The per-value collective-jump build: ``-i (1 kron H - H^T kron 1) +
+    2 gamma1 D[J_down] + 2 gamma2 D[J_up]``, each ``rate D[J]`` lifted as
+    ``rate conj(J) kron J`` minus the halved lifts of its partial trace
+    ``rate J^dag J``.  The package builds every point of a sweep as one
+    broadcast stack; each of its slices must equal this bitwise.
+    """
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    sm = sp.T.copy()
+    sz = np.diag([-1.0, 1.0]).astype(complex)
+    eye2, eye4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+    h = 0.5 * params.omega * np.kron(sz, eye2) + params.omega * np.kron(eye2, sp @ sm)
+
+    def lift(rate, jump):
+        jump_term = rate * np.kron(jump.conj(), jump)
+        jdj = np.einsum("kkjl->jl", jump_term.reshape(4, 4, 4, 4))
+        return jump_term - 0.5 * np.kron(eye4, jdj) - 0.5 * np.kron(jdj.T, eye4)
+
+    j_down = np.kron(sm, eye2) + params.eta * np.kron(eye2, sm)
+    j_up = np.kron(sp, eye2) + params.eta * np.kron(eye2, sp)
+    return (-1j * (np.kron(eye4, h) - np.kron(h.T, eye4))
+            + lift(2.0 * params.gamma1, j_down) + lift(2.0 * params.gamma2, j_up))
 
 
 def rk4_stage_states(superop, rho0, t_max, steps, samples):

@@ -6,7 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bathlink._format import fmt, write_table
 from bathlink.cli import main
+from bathlink.correlations import mutual_information
+from bathlink.dynamics import evolve_exact, product_state
+from bathlink.model import ModelParams, build_liouvillian
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "simulate_x.csv"
 
@@ -299,6 +303,61 @@ def test_heatmap_range_axis(tmp_path):
                  "--t-max", "1", "--samples", "2", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert sorted({r[1] for r in rows}) == [0.2, 0.6, 1.0]
+
+
+def test_heatmap_builds_and_steps_the_sweep_in_one_call(tmp_path, monkeypatch):
+    import bathlink.cli as cli
+
+    builds, evolves = [], []
+    real_build, real_evolve = cli.build_liouvillian, cli.evolve_exact
+
+    def build(params):
+        builds.append(params)
+        return real_build(params)
+
+    def evolve(generators, rho0, times):
+        evolves.append(generators)
+        return real_evolve(generators, rho0, times)
+
+    monkeypatch.setattr(cli, "build_liouvillian", build)
+    monkeypatch.setattr(cli, "evolve_exact", evolve)
+    assert main(["heatmap", *CANON, "--observable", "negativity", "--axis", "eta",
+                 "--axis-values", "0,0.5,1", "--p", "1", "--q", "0", "--t-max", "1",
+                 "--samples", "4", "--out", str(tmp_path / "heat.csv")]) == 0
+    assert len(builds) == 1 and [p.eta for p in builds[0]] == [0.0, 0.5, 1.0]
+    assert len(evolves) == 1 and len(evolves[0]) == 3
+
+
+def test_heatmap_at_zero_t_max_emits_the_initial_state_per_value(tmp_path):
+    out = tmp_path / "heat0.csv"
+    assert main(["heatmap", *CANON, "--observable", "mutual_info", "--axis", "eta",
+                 "--axis-values", "0,0.5,1", "--p", "0.6", "--q", "0.3", "--t-max", "0",
+                 "--out", str(out)]) == 0
+    start = fmt(mutual_information(product_state(0.6, 0.3)))
+    assert out.read_text() == (
+        "t,axis_value,observable\n"
+        f"0,0,{start}\n0,0.5,{start}\n0,1,{start}\n"
+    )
+
+
+def test_heatmap_temperature_axis_matches_per_value_runs(tmp_path):
+    out = tmp_path / "heatT.csv"
+    temperatures = [0.2, 0.5, 1.0, 2.0]
+    assert main(["heatmap", "--omega", "0.001", "--eta", "0.6",
+                 "--observable", "mutual_info", "--axis", "temperature",
+                 "--axis-values", ",".join(map(str, temperatures)), "--p", "0.6",
+                 "--q", "0.3", "--t-max", "3", "--samples", "30", "--out", str(out)]) == 0
+    times = np.linspace(0.0, 3.0, 31)
+    blocks = []
+    for temperature in temperatures:
+        liou = build_liouvillian(ModelParams.from_temperature(1.0, temperature, 0.6, 0.001))
+        traj = evolve_exact(liou, product_state(0.6, 0.3), times)
+        blocks.append(np.column_stack(
+            [times, np.full(times.size, temperature), mutual_information(traj.states)]
+        ))
+    ref = tmp_path / "ref.csv"
+    write_table(str(ref), "csv", ["t", "axis_value", "observable"], np.concatenate(blocks))
+    assert out.read_bytes() == ref.read_bytes()
 
 
 # ------------------------------------------------------------------ region

@@ -143,6 +143,26 @@ def test_evolve_exact_uniform_and_irregular_grids_agree(canonical_liouvillian):
     assert max_abs_diff(uniform.states[4], irregular.states[4]) < 1e-12
 
 
+def test_evolve_exact_steps_a_list_like_each_generator_alone():
+    rho0 = product_state(0.6, 0.3)
+    times = np.linspace(0.0, 6.0, 51)
+    generators = build_liouvillian(
+        [ModelParams.from_rates(1.01, 0.01, eta, 0.001) for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
+    )
+    stacked = evolve_exact(generators, rho0, times)
+    assert len(stacked) == 5
+    for liou, traj in zip(generators, stacked):
+        alone = evolve_exact(liou, rho0, times)
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.states, alone.states)
+
+
+def test_evolve_exact_list_needs_a_uniform_grid(canonical_liouvillian):
+    with pytest.raises(ConfigError, match="uniform time grid"):
+        evolve_exact([canonical_liouvillian] * 2, product_state(1.0, 0.0),
+                     np.array([0.0, 0.5, 1.0, 1.7]))
+
+
 def test_evolve_exact_requires_zero_start(canonical_liouvillian):
     with pytest.raises(ConfigError):
         evolve_exact(canonical_liouvillian, product_state(1.0, 0.0), np.array([0.5, 1.0]))

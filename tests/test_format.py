@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bathlink._format import fmt, write_json, write_table
@@ -30,6 +31,19 @@ def test_write_table_extreme_cells(tmp_path):
     write_table(str(path), "csv", ["a", "b", "c"],
                 [[-0.0, 5e-324, 1e300], [-1e300, 1e-17, -1e-17]])
     assert path.read_bytes() == b"a,b,c\n0,4.94065645841e-324,1e+300\n-1e+300,1e-17,-1e-17\n"
+
+
+def test_write_table_blocks_render_every_row_as_fmt(tmp_path):
+    # 2,500 rows cross the formatting blocks twice; every cell is fmt's text
+    rng = np.random.default_rng(11)
+    table = rng.normal(size=(2500, 5)) * 10.0 ** rng.integers(-300, 300, size=(2500, 5))
+    extremes = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e-20, -1e-20, 1e300, -1e300, 0.1 + 0.2]
+    for k, x in enumerate(extremes):
+        table[[k, 1023 + k % 3, 1024 + k % 2, 2047, 2048 + k, 2499 - k], k % 5] = x
+    path = tmp_path / "big.csv"
+    write_table(str(path), "csv", ["a", "b", "c", "d", "e"], table)
+    expected = "a,b,c,d,e\n" + "".join(",".join(map(fmt, row)) + "\n" for row in table)
+    assert path.read_text() == expected
 
 
 @pytest.mark.parametrize("kind", ["csv", "json"])

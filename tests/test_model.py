@@ -18,7 +18,13 @@ from bathlink.model import (
     steady_state_analytic,
     steady_state_numeric,
 )
-from oracles import kossakowski_liouvillian, max_abs_diff, random_density, random_hermitian
+from oracles import (
+    kossakowski_liouvillian,
+    max_abs_diff,
+    per_value_liouvillian,
+    random_density,
+    random_hermitian,
+)
 
 
 def ket(index):
@@ -208,12 +214,47 @@ def test_build_rejects_a_cross_order_entry(monkeypatch):
 
     def leaky(rate, jump):
         out = lift(rate, jump).copy()
-        out[1, 0] += 1e-3  # rho_10 (order 1) fed from rho_00 (order 0)
+        out[..., 1, 0] += 1e-3  # rho_10 (order 1) fed from rho_00 (order 0)
         return out
 
     monkeypatch.setattr(model, "_lift_dissipator", leaky)
     with pytest.raises(NumericalInvariantError, match="couples different coherence orders"):
         build_liouvillian(ModelParams.from_rates(1.01, 0.01, 0.6, 0.001))
+
+
+def test_build_names_the_failing_sweep_point(monkeypatch):
+    lift = model._lift_dissipator
+
+    def leaky(rate, jump):
+        out = lift(rate, jump).copy()
+        out[1, 1, 0] += 1e-3  # only the second point of the stack leaks
+        return out
+
+    monkeypatch.setattr(model, "_lift_dissipator", leaky)
+    sweep = [ModelParams.from_rates(1.01, 0.01, eta, 0.001) for eta in (0.25, 0.5, 0.75)]
+    with pytest.raises(NumericalInvariantError,
+                       match=r"couples different coherence orders .* at .*eta=0\.5$"):
+        build_liouvillian(sweep)
+
+
+def test_stacked_build_matches_the_per_value_oracle():
+    # one broadcast lift for every point, bitwise equal to one np.kron build per point
+    rng = np.random.default_rng(909)
+    etas = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 3.0, 998)])
+    points = [ModelParams.from_rates(g1, g2, eta, omega)
+              for (g1, g2, omega), eta in zip(rng.uniform(0.0, 2.0, (1000, 3)), etas)]
+    points += [ModelParams.from_temperature(zeta, temperature, eta, omega)
+               for (zeta, temperature, omega), eta
+               in zip(rng.uniform(0.05, 3.0, (1000, 3)), rng.permutation(etas))]
+    built = build_liouvillian(points)
+    assert len(built) == 2000
+    for liou, params in zip(built, points):
+        assert liou.params is params
+        assert np.array_equal(liou.superop, per_value_liouvillian(params))
+    single = build_liouvillian(points[7])
+    assert np.array_equal(single.superop, built[7].superop)
+    assert np.array_equal(single.eigenvalues, built[7].eigenvalues)
+    assert single.spectral_radius == built[7].spectral_radius
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
