@@ -185,8 +185,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     measured = discord(traj.states)
     table = np.column_stack([
         traj.times, measured.negativity, measured.mutual_info, measured.discord,
-        measured.classical_corr, np.trace(traj.states, axis1=1, axis2=2).real,
-        np.linalg.eigvalsh(traj.states).min(axis=1),
+        measured.classical_corr, traj.trace, traj.min_eig,
     ])
     columns = ["t", "negativity", "mutual_info", "discord", "classical_corr", "trace", "min_eig"]
     write_table(args.out, args.format or "csv", columns, table)

@@ -4,15 +4,20 @@ Two independent propagation routes are provided: classical fixed-step RK4
 (:func:`evolve_rk`) and the exact exponential of the vectorized generator
 (:func:`evolve_exact`).  The generator is a constant matrix, so the
 exponential route is exact up to ``expm`` accuracy and the integrator's job
-is independent verification.
+is independent verification.  Both step their states through one sampling
+loop, one 16x16 map per interval, and every trajectory is checked as a stack
+of density matrices by :func:`validate_density_matrix`, which also returns
+the trace and least eigenvalue that the tables print.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,26 +38,32 @@ PSD_TOL = -1e-8
 
 def validate_density_matrix(
     rho: np.ndarray, context: str = "state", times: np.ndarray | None = None
-) -> None:
-    """Check unit trace, Hermiticity, and positivity; raise with a diagnostic.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check unit trace, Hermiticity, and positivity; return what was tested.
 
     The tolerances are ``TRACE_TOL``, ``HERM_TOL`` and ``PSD_TOL``.  ``rho``
     is one state ``(4, 4)`` or a stack ``(N, 4, 4)``, checked with one
     stacked eigensolver call.  The first failing state of a stack is named
-    by its time in ``times`` when given, else by its index.
+    by its time in ``times`` when given, else by its index.  A valid ``rho``
+    gives the real part of each trace and each least eigenvalue, of shape
+    ``()`` or ``(N,)``.
+
+    The eigenvalues are those of ``rho`` as stored (``eigvalsh`` reads its
+    lower triangle), not of its Hermitian part.  Both differ by at most
+    ``sqrt(3) * HERM_TOL`` (Weyl's inequality) once Hermiticity holds, far
+    inside ``PSD_TOL``.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise NumericalInvariantError(f"{context}: expected 4x4, got {rho.shape}")
     stack = rho.reshape(-1, 4, 4)
-    adjoint = stack.conj().swapaxes(1, 2)
     tr = np.trace(stack, axis1=1, axis2=2)
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-    herm_dev = np.abs(stack - adjoint).max(axis=(1, 2))
-    min_eig = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=1)
+    herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(stack).min(axis=1)
     bad = (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL) | (min_eig <= PSD_TOL)
     if not bad.any():
-        return
+        return tr.real.reshape(rho.shape[:-2]), min_eig.reshape(rho.shape[:-2])
     k = int(np.argmax(bad))
     if rho.ndim == 3:
         context = f"{context} at t={times[k]:g}" if times is not None else f"{context} {k}"
@@ -84,15 +95,19 @@ class Trajectory:
     """Time-ordered states of one propagation.
 
     ``times`` is strictly increasing with ``times[0] = 0``; every stored
-    state satisfies the density-matrix invariants.  The two ``max_*``
-    fields record the largest Hermitization / trace renormalization applied
-    while storing RK samples (identically zero for exact propagation).
+    state satisfies the density-matrix invariants, and ``trace`` (real
+    part) and ``min_eig`` hold what :func:`validate_density_matrix`
+    measured of each.  The two ``max_*`` fields record the largest
+    Hermitization / trace renormalization applied while storing RK samples
+    (identically zero for exact propagation).
     """
 
     times: np.ndarray
     states: np.ndarray
     max_hermiticity_correction: float = 0.0
     max_trace_correction: float = 0.0
+    trace: np.ndarray = field(init=False, repr=False)
+    min_eig: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -105,7 +120,9 @@ class Trajectory:
             )
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise NumericalInvariantError("times must start at 0 and increase strictly")
-        validate_density_matrix(states, times=times)
+        trace, min_eig = validate_density_matrix(states, times=times)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "min_eig", min_eig)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -115,16 +132,19 @@ class Trajectory:
         return self.states[-1]
 
 
-def _sample(step: np.ndarray, rho0: np.ndarray, count: int) -> np.ndarray:
-    """``rho0`` and its ``count`` successive images under each 16x16 map of ``step``.
+def _sample(
+    maps: Iterable[np.ndarray], rho0: np.ndarray, count: int, batch: tuple[int, ...]
+) -> np.ndarray:
+    """``rho0`` and its images after each of ``count`` intervals, one map per interval.
 
-    ``step`` is one map ``(16, 16)`` or a stack ``(K, 16, 16)``; the result
-    is ``(count + 1, 4, 4)`` or ``(count + 1, K, 4, 4)``, filled with one
-    (batched) matrix-vector product per sample.
+    ``maps`` yields the ``count`` maps in order, each ``batch + (16, 16)``:
+    ``batch`` is ``()`` for one trajectory or ``(K,)`` for K stepped
+    together.  The result is ``(count + 1,) + batch + (4, 4)``, filled with
+    one (batched) matrix-vector product per interval.
     """
-    v = np.empty((count + 1,) + step.shape[:-1] + (1,), dtype=complex)
+    v = np.empty((count + 1,) + batch + (16, 1), dtype=complex)
     v[0] = vec(rho0)[:, None]
-    for k in range(count):
+    for k, step in enumerate(maps):
         np.matmul(step, v[k], out=v[k + 1])
     return unvec(v[..., 0])
 
@@ -182,7 +202,8 @@ def evolve_rk(
     a = h * liouvillian.superop
     eye = np.eye(16)
     taylor = eye + a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))
-    raw = _sample(np.linalg.matrix_power(taylor, substeps), rho0, samples)[1:]
+    step = np.linalg.matrix_power(taylor, substeps)
+    raw = _sample(itertools.repeat(step, samples), rho0, samples, ())[1:]
     adjoint = raw.conj().swapaxes(1, 2)
     herm_corr = np.abs(raw - adjoint).max(axis=(1, 2)) / 2.0
     hermitian = (raw + adjoint) / 2.0
@@ -220,17 +241,37 @@ def propagate(liouvillian: Liouvillian, rho: np.ndarray, t: float) -> np.ndarray
     return unvec(matrix_exp(liouvillian.superop, t) @ vec(rho))
 
 
+@contextmanager
+def _naming(liouvillian: Liouvillian):
+    """Re-raise a numerical failure with the generator's parameters at its end."""
+    try:
+        yield
+    except NumericalInvariantError as exc:
+        raise type(exc)(f"{exc}; generator at {liouvillian.params.label()}") from exc
+
+
+def _maps(generators: list[Liouvillian], dt: float) -> np.ndarray:
+    """``exp(dt S)`` of each generator, as one ``(K, 16, 16)`` stack."""
+    maps = np.empty((len(generators), 16, 16), dtype=complex)
+    for k, liouvillian in enumerate(generators):
+        with _naming(liouvillian):
+            maps[k] = matrix_exp(liouvillian.superop, dt)
+    return maps
+
+
 def evolve_exact(
     liouvillian: Liouvillian | Sequence[Liouvillian], rho0: np.ndarray, times: np.ndarray
 ) -> Trajectory | list[Trajectory]:
     """Exact trajectory at the given times (ascending, starting at 0).
 
-    A uniform grid costs a single ``expm`` followed by repeated
-    application; otherwise one exponential per sample time is taken.
-    ``liouvillian`` may also be a sequence of generators on a uniform grid:
-    then one ``expm`` per generator is taken, all of them are stepped
-    together, one batched product per sample, and one trajectory per
-    generator is returned.
+    The states are stepped through the sampling loop, one map
+    ``exp(dt_k S)`` per interval.  A uniform grid takes a single ``expm``
+    and applies it on every interval; an irregular grid takes each
+    interval's exponential when it reaches it, so one map per generator is
+    held at a time.  ``liouvillian`` may also be a sequence of generators:
+    all of them are stepped together, one batched product per interval,
+    and one trajectory per generator is returned.  An error in mapping or
+    checking a generator's trajectory ends with that generator's parameters.
     """
     single = isinstance(liouvillian, Liouvillian)
     generators = [liouvillian] if single else list(liouvillian)
@@ -242,24 +283,23 @@ def evolve_exact(
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ConfigError("times must start at 0 and increase strictly")
     dts = np.diff(times)
-    if dts.size == 0 or np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
-        dt = float(dts[0]) if dts.size else 0.0
-        steps = np.array([matrix_exp(g.superop, dt) for g in generators]).reshape(-1, 16, 16)
-        stack = _sample(steps, rho0, dts.size)
-        trajectories = [Trajectory(times=times, states=stack[:, k])
-                        for k in range(len(generators))]
-    elif single:
-        states = [rho0] + [propagate(liouvillian, rho0, float(t)) for t in times[1:]]
-        trajectories = [Trajectory(times=times, states=np.array(states))]
+    if dts.size and np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
+        maps = itertools.repeat(_maps(generators, float(dts[0])), dts.size)
     else:
-        raise ConfigError("a sequence of generators needs a uniform time grid")
+        maps = (_maps(generators, float(dt)) for dt in dts)
+    stack = _sample(maps, rho0, dts.size, (len(generators),))
+    trajectories = []
+    for k, generator in enumerate(generators):
+        with _naming(generator):
+            trajectories.append(Trajectory(times=times, states=stack[:, k]))
     return trajectories[0] if single else trajectories
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     """Write ``t,re_rho_00,im_rho_00,...,im_rho_33,trace,min_eig`` rows.
 
-    The 16 complex entries appear row-major as interleaved re/im columns.
+    The 16 complex entries appear row-major as interleaved re/im columns;
+    ``trace`` and ``min_eig`` are the values the state check tested.
     """
     columns = ["t"]
     for i in range(4):
@@ -270,7 +310,7 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     table = np.column_stack([
         traj.times,
         np.stack([entries.real, entries.imag], axis=-1).reshape(-1, 32),
-        np.trace(traj.states, axis1=1, axis2=2).real,
-        np.linalg.eigvalsh(traj.states).min(axis=1),
+        traj.trace,
+        traj.min_eig,
     ])
     write_table(path, "csv", columns, table)

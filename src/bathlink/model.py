@@ -168,6 +168,10 @@ class ModelParams:
             d["temperature"] = self.temperature
         return d
 
+    def label(self) -> str:
+        """The parameters as ``key=value`` pairs, the form in which errors name a point."""
+        return ", ".join(f"{key}={value:g}" for key, value in self.to_dict().items())
+
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
         return cls(
@@ -336,7 +340,7 @@ def build_liouvillian(
     bad = (leak != 0.0) | (worst >= 1e-12 * scale) | (max_re > 1e-10 * scale)
     if bad.any():
         k = int(np.argmax(bad))
-        at = ", ".join(f"{key}={value:g}" for key, value in points[k].to_dict().items())
+        at = points[k].label()
         if leak[k] != 0.0:
             raise NumericalInvariantError(
                 f"generator couples different coherence orders (max entry {leak[k]:.3e}) at {at}"

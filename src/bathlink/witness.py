@@ -228,6 +228,7 @@ def report_for_product_state(
     """
     if (alpha is None) != (beta is None):
         raise ConfigError("alpha and beta must be supplied together")
+    _check_amplitudes(p, q)
     a, b, c = quadratic_coefficients(p, q, params)
     if alpha is None:
         form = np.array([[a, b / 2.0], [b / 2.0, c]])
@@ -339,10 +340,14 @@ def region_scan(
     a contradiction raises.  With ``confirm_dynamics`` the short-time
     negativity is computed for every grid point and returned as a column.
     ``confirm_tau`` must be finite and > 0: backward propagation leaves the
-    state space.
+    state space; ``spot_checks`` and ``seed`` must be >= 0.
     """
     if n < 2:
         raise ConfigError(f"grid resolution must be >= 2, got {n}")
+    if spot_checks < 0:
+        raise ConfigError(f"spot checks must be >= 0, got {spot_checks}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not 0.0 < confirm_tau < math.inf:
         raise ConfigError(f"confirmation time tau must be finite and > 0, got {confirm_tau}")
     axis = _symmetric_axis(n)

@@ -80,6 +80,40 @@ def test_simulate_states_out(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("method", ["exact", "rk4"])
+def test_simulate_prints_the_trace_and_min_eig_the_check_tested(tmp_path, monkeypatch, method):
+    import bathlink.cli as cli
+    import bathlink.dynamics as dynamics
+
+    trajectories, tables = [], {}
+    evolve = cli.evolve_rk if method == "rk4" else cli.evolve_exact
+
+    def traced_evolve(*args, **kwargs):
+        trajectories.append(evolve(*args, **kwargs))
+        return trajectories[-1]
+
+    def recorder(module):
+        write = module.write_table
+
+        def traced_write(path, fmt_, columns, table):
+            tables[path] = dict(zip(columns, table.T))
+            write(path, fmt_, columns, table)
+        return traced_write
+
+    monkeypatch.setattr(cli, "evolve_rk" if method == "rk4" else "evolve_exact", traced_evolve)
+    monkeypatch.setattr(cli, "write_table", recorder(cli))
+    monkeypatch.setattr(dynamics, "write_table", recorder(dynamics))
+    out, states = str(tmp_path / "sim.csv"), str(tmp_path / "states.csv")
+    assert main(["simulate", *CANON, "--eta", "0.555911", "--p", "0.6", "--q", "-0.4",
+                 "--t-max", "6", "--samples", "50", "--method", method,
+                 "--out", out, "--states-out", states]) == 0
+    (traj,) = trajectories
+    assert traj.trace.shape == traj.min_eig.shape == (51,)
+    for path in (out, states):
+        assert np.array_equal(tables[path]["trace"], traj.trace)
+        assert np.array_equal(tables[path]["min_eig"], traj.min_eig)
+
+
 def test_simulate_json_format(tmp_path):
     out = tmp_path / "sim.json"
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
@@ -295,6 +329,21 @@ def test_heatmap_checks_every_value_before_building(tmp_path, capsys, monkeypatc
     assert builds == [] and not out.exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1e150", "exp(t A) is not finite at t=0.25"),
+    ("1e7", "state at t=0.25: trace deviates by 1.399e-04"),
+])
+def test_heatmap_failure_names_the_sweep_point(tmp_path, capsys, value, message):
+    out = tmp_path / "heat.csv"
+    assert main(["heatmap", *CANON, "--observable", "negativity", "--axis", "eta",
+                 "--axis-values", f"0.5,{value}", "--p", "0.6", "--q", "0.3",
+                 "--t-max", "1", "--samples", "4", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.rstrip().endswith(f"eta={float(value):g}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_heatmap_range_axis(tmp_path):
     out = tmp_path / "heat2.csv"
     assert main(["heatmap", *CANON, "--observable", "mutual_info",
@@ -405,6 +454,22 @@ def test_region_non_finite_propagator_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--spot-checks", "-1"], "spot checks must be >= 0, got -1"),
+])
+def test_region_rejects_negative_seed_and_spot_checks(tmp_path, capsys, flags, message):
+    out = tmp_path / "r.csv"
+    assert main(["region", *CANON, "--eta", "1", "--n", "3", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flags[0][2:]: -3}))
+    assert main(["region", *CANON, "--eta", "1", "--n", "3", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert message.replace("-1", "-3") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # ------------------------------------------------------------ steady-state
 
 def test_steady_state_generic_coupling(tmp_path):
@@ -491,6 +556,19 @@ def test_witness_flag_validation(tmp_path, capsys):
     assert main(["witness", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--roots", "--out", str(out)]) == 2
     assert "kappa form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitudes", [
+    ["--p", "2", "--q", "0"],
+    ["--p", "0.5", "--q", "1.5"],
+    ["--p", "0.5", "--q", "1.5", "--alpha", "1", "--beta", "1"],
+    ["--p", "inf", "--q", "0"],
+])
+def test_witness_rejects_amplitudes_outside_the_unit_interval(tmp_path, capsys, amplitudes):
+    out = tmp_path / "w.json"
+    assert main(["witness", *CANON, "--eta", "1", *amplitudes, "--out", str(out)]) == 2
+    assert "p, q must lie in [-1, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ config

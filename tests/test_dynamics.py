@@ -3,6 +3,8 @@ import pytest
 
 from bathlink.correlations import mutual_information, negativity
 from bathlink.dynamics import (
+    HERM_TOL,
+    PSD_TOL,
     Trajectory,
     evolve_exact,
     evolve_rk,
@@ -157,10 +159,38 @@ def test_evolve_exact_steps_a_list_like_each_generator_alone():
         assert np.array_equal(traj.states, alone.states)
 
 
-def test_evolve_exact_list_needs_a_uniform_grid(canonical_liouvillian):
-    with pytest.raises(ConfigError, match="uniform time grid"):
-        evolve_exact([canonical_liouvillian] * 2, product_state(1.0, 0.0),
-                     np.array([0.0, 0.5, 1.0, 1.7]))
+def test_evolve_exact_steps_a_list_on_an_irregular_grid_like_each_generator_alone():
+    rho0 = product_state(0.6, 0.3)
+    times = np.concatenate([[0.0], np.sort(np.random.default_rng(3).uniform(0.0, 6.0, 40))])
+    generators = build_liouvillian(
+        [ModelParams.from_rates(1.01, 0.01, eta, 0.001) for eta in (0.0, 0.3, 0.6, 0.9, 1.0)]
+    )
+    stacked = evolve_exact(generators, rho0, times)
+    assert len(stacked) == 5
+    for liou, traj in zip(generators, stacked):
+        alone = evolve_exact(liou, rho0, times)
+        assert np.array_equal(traj.states, alone.states)
+
+
+@pytest.mark.parametrize("horizon", [6.0, 2000.0])
+def test_evolve_exact_steps_random_times_like_propagate(horizon):
+    # each interval's own exp(dt S), composed, against one exponential per time
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, 0.6, 0.001))
+    rho0 = product_state(0.6, -0.4)
+    times = np.concatenate([[0.0], np.sort(np.random.default_rng(7).uniform(0.0, horizon, 400))])
+    traj = evolve_exact(liou, rho0, times)
+    direct = np.array([propagate(liou, rho0, float(t)) for t in times])
+    assert max_abs_diff(traj.states, direct) < 1e-12
+
+
+def test_evolve_exact_names_the_generator_that_fails():
+    generators = build_liouvillian(
+        [ModelParams.from_rates(1.01, 0.01, eta, 0.001) for eta in (0.5, 1e7)]
+    )
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^state at t=0\.25: trace deviates by .*; generator at "
+                             r"omega=0\.001, zeta=1, gamma1=1\.01, gamma2=0\.01, eta=1e\+07$"):
+        evolve_exact(generators, product_state(0.6, 0.3), np.linspace(0.0, 1.0, 5))
 
 
 def test_evolve_exact_requires_zero_start(canonical_liouvillian):
@@ -216,6 +246,27 @@ def test_trajectory_names_the_time_of_a_bad_state():
     with pytest.raises(NumericalInvariantError,
                        match=r"^state at t=0\.2: negative eigenvalue -2\.000e-01$"):
         Trajectory(times=np.array([0.0, 0.1, 0.2, 0.3]), states=states)
+
+
+def test_validate_returns_the_trace_and_least_eigenvalue_it_tested():
+    states = np.stack([product_state(1.0, 0.0), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)])
+    trace, min_eig = validate_density_matrix(states)
+    assert trace.shape == min_eig.shape == (2,)
+    assert np.array_equal(trace, [1.0, 1.0]) and np.array_equal(min_eig, [0.0, 0.1])
+    trace, min_eig = validate_density_matrix(states[1])
+    assert trace.shape == min_eig.shape == ()
+    assert (trace, min_eig) == (1.0, 0.1)
+
+
+def test_validate_raises_below_psd_tol_within_the_hermiticity_tolerance():
+    # eigvalsh reads the lower triangle of the stored state: a deviation
+    # there just under HERM_TOL must not hide an eigenvalue below PSD_TOL
+    state = np.diag([0.5 - 2 * PSD_TOL, 0.5, 0.0, 2 * PSD_TOL]).astype(complex)
+    state[3, 0] = 0.999 * HERM_TOL
+    stack = np.stack([product_state(1.0, 0.0), state])
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^state 1: negative eigenvalue -2\.000e-08$"):
+        validate_density_matrix(stack)
 
 
 def test_validate_stack_reports_first_bad_state():
