@@ -10,14 +10,12 @@ from .correlations import (
     discord,
     mutual_information,
     negativity,
-    von_neumann_entropy,
 )
 from .dynamics import (
     Trajectory,
     evolve_exact,
     evolve_rk,
     product_state,
-    propagate,
     trajectory_to_csv,
     validate_density_matrix,
 )
@@ -31,7 +29,6 @@ from .model import (
     Liouvillian,
     ModelParams,
     SteadyStateResult,
-    apply_liouvillian,
     build_liouvillian,
     hamiltonian,
     kossakowski_matrix,
@@ -42,7 +39,6 @@ from .model import (
 from .witness import (
     RegionScan,
     WitnessReport,
-    dxi0_from_generator,
     dxi0_general,
     dxi0_quadratic,
     is_entangling,
@@ -65,10 +61,8 @@ __all__ = [
     "SteadyStateResult",
     "Trajectory",
     "WitnessReport",
-    "apply_liouvillian",
     "build_liouvillian",
     "discord",
-    "dxi0_from_generator",
     "dxi0_general",
     "dxi0_quadratic",
     "evolve_exact",
@@ -79,14 +73,12 @@ __all__ = [
     "mutual_information",
     "negativity",
     "product_state",
-    "propagate",
     "rates_from_temperature",
     "region_scan",
     "steady_state_analytic",
     "steady_state_numeric",
     "trajectory_to_csv",
     "validate_density_matrix",
-    "von_neumann_entropy",
     "witness_vector",
     "xi",
 ]

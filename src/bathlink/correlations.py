@@ -123,14 +123,6 @@ def _stack(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     return (rho[None], True) if rho.ndim == 2 else (rho, False)
 
 
-def _entropies(rho: np.ndarray) -> np.ndarray:
-    """Von Neumann entropies (bits) of the matrices on the last two axes."""
-    eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2)
-    eigs = np.clip(eigs, 0.0, None)
-    terms = np.where(eigs > 0.0, eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
-    return np.maximum(-terms.sum(axis=-1), 0.0)
-
-
 def negativity(rho: np.ndarray) -> float | np.ndarray:
     """Absolute sum of negative partial-transpose eigenvalues.
 
@@ -154,17 +146,19 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
 
 
 def _checked_entropies(rho: np.ndarray) -> np.ndarray:
-    """:func:`_entropies` after checking that every trace is 1 within ``ENTROPY_TRACE_TOL``."""
+    """Von Neumann entropies (bits) of the matrices on the last two axes.
+
+    Every trace must be 1 within ``ENTROPY_TRACE_TOL``; eigenvalues of the
+    Hermitian part below zero are clipped to zero.
+    """
     tr = np.trace(rho, axis1=-2, axis2=-1).real.ravel()
     worst = tr[np.argmax(np.abs(tr - 1.0))]
     if abs(worst - 1.0) > ENTROPY_TRACE_TOL:
         raise ConfigError(f"entropy input has trace {worst:.9g}, expected 1")
-    return _entropies(rho)
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """``-Tr(rho log2 rho)`` with eigenvalues below zero clipped to zero."""
-    return float(_checked_entropies(np.asarray(rho, dtype=complex)))
+    eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    eigs = np.clip(eigs, 0.0, None)
+    terms = np.where(eigs > 0.0, eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
+    return np.maximum(-terms.sum(axis=-1), 0.0)
 
 
 def mutual_information(rho: np.ndarray) -> float | np.ndarray:

@@ -230,17 +230,6 @@ def evolve_rk(
     )
 
 
-def propagate(liouvillian: Liouvillian, rho: np.ndarray, t: float) -> np.ndarray:
-    """Exact propagation ``unvec(exp(t S) vec(rho))`` for any real t.
-
-    No state validation is performed; negative times (useful for derivative
-    cross-checks) may leave the physical state space.
-    """
-    if t == 0.0:
-        return np.asarray(rho, dtype=complex).copy()
-    return unvec(matrix_exp(liouvillian.superop, t) @ vec(rho))
-
-
 @contextmanager
 def _naming(liouvillian: Liouvillian):
     """Re-raise a numerical failure with the generator's parameters at its end."""

@@ -61,8 +61,6 @@ _H_OSCILLATOR = kron(ID2, SIGMA_P @ SIGMA_M)
 _TRACE_ROW = vec(np.eye(4)).conj()
 
 _RATE_CONSISTENCY_TOL = 1e-9
-#: Largest Hermiticity deviation of a state that :func:`apply_liouvillian` accepts.
-APPLY_HERM_TOL = 1e-9
 #: Generator eigenvalues below this in modulus count toward the kernel dimension.
 NULL_TOL = 1e-8
 
@@ -172,17 +170,6 @@ class ModelParams:
         """The parameters as ``key=value`` pairs, the form in which errors name a point."""
         return ", ".join(f"{key}={value:g}" for key, value in self.to_dict().items())
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(
-            omega=float(d["omega"]),
-            zeta=float(d["zeta"]),
-            gamma1=float(d["gamma1"]),
-            gamma2=float(d["gamma2"]),
-            eta=float(d["eta"]),
-            temperature=float(d["temperature"]) if "temperature" in d else None,
-        )
-
 
 def hamiltonian(params: ModelParams) -> np.ndarray:
     """``(omega/2) sigma_z (x) 1 + omega 1 (x) sigma_+ sigma_-`` (4x4, diagonal)."""
@@ -206,59 +193,6 @@ def kossakowski_matrix(params: ModelParams) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def _dissipator_pair(rate: float, a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``rate * (2 A rho A^dag - {A^dag A, rho})`` building block."""
-    ad = a.conj().T
-    ada = ad @ a
-    return rate * (2.0 * (a @ rho @ ad) - (ada @ rho + rho @ ada))
-
-
-def _rhs(params: ModelParams, rho: np.ndarray) -> np.ndarray:
-    """Master-equation right-hand side, written term by term.
-
-    This is deliberately independent of the superoperator construction in
-    :func:`build_liouvillian`; the two are cross-checked in the test suite.
-    """
-    g1, g2, eta = params.gamma1, params.gamma2, params.eta
-    h = hamiltonian(params)
-    out = -1j * (h @ rho - rho @ h)
-    # local qubit channel
-    out += _dissipator_pair(g1, SM_Q, rho)
-    out += _dissipator_pair(g2, SP_Q, rho)
-    # local oscillator channel, scaled by eta^2
-    out += _dissipator_pair(g1 * eta**2, SM_HO, rho)
-    out += _dissipator_pair(g2 * eta**2, SP_HO, rho)
-    # bath-induced cross coupling, scaled by eta
-    def cross(rate, a, b, acc):
-        # rate * (2 a rho b^dag - {b^dag a, rho}) and the (a <-> b) partner
-        bd = b.conj().T
-        bda = bd @ a
-        acc += rate * (2.0 * (a @ rho @ bd) - (bda @ rho + rho @ bda))
-        ad = a.conj().T
-        adb = ad @ b
-        acc += rate * (2.0 * (b @ rho @ ad) - (adb @ rho + rho @ adb))
-        return acc
-
-    out = cross(g1 * eta, SM_Q, SM_HO, out)
-    out = cross(g2 * eta, SP_Q, SP_HO, out)
-    return out
-
-
-def apply_liouvillian(params: ModelParams, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation for a Hermitian ``rho``.
-
-    ``rho`` must be Hermitian within ``APPLY_HERM_TOL``.  The output is
-    traceless and Hermitian to machine precision.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got {rho.shape}")
-    dev = float(np.abs(rho - rho.conj().T).max())
-    if dev >= APPLY_HERM_TOL:
-        raise ConfigError(f"state is not Hermitian within {APPLY_HERM_TOL:g} (deviation {dev:.3e})")
-    return _rhs(params, rho)
 
 
 @dataclass(frozen=True)

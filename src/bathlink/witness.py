@@ -31,7 +31,7 @@ from .correlations import negativity
 from .dynamics import product_state
 from .errors import ConfigError, NumericalInvariantError
 from .matops import matrix_exp, partial_transpose_second
-from .model import Liouvillian, ModelParams, apply_liouvillian, build_liouvillian
+from .model import Liouvillian, ModelParams, build_liouvillian
 
 
 #: Largest deviation of ``|psi|`` from 1 that :func:`xi` accepts.
@@ -57,11 +57,7 @@ def xi(rho: np.ndarray, psi: np.ndarray) -> float:
 
 def kappa_vector(kappa1: float, kappa2: float, kappa3: float) -> np.ndarray:
     """Unnormalized direction ``kappa1|00> + kappa2|10> + kappa3|11>``."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = kappa1
-    psi[2] = kappa2
-    psi[3] = kappa3
-    return psi
+    return np.array([kappa1, 0.0, kappa2, kappa3], dtype=complex)
 
 
 def witness_vector(
@@ -115,6 +111,12 @@ def _check_amplitudes(p, q) -> None:
         raise ConfigError(f"p, q must lie in [-1, 1], got ({p}, {q})")
 
 
+def _check_finite(**coefficients: float) -> None:
+    for name, value in coefficients.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def quadratic_coefficients(
     p: float, q: float, params: ModelParams
 ) -> tuple[float, float, float]:
@@ -135,24 +137,18 @@ def dxi0_general(
     """Initial rate of Xi from the (p, q) product state along ``witness_vector``.
 
     Independent of vartheta and of omega; see the module docstring for the
-    closed form.
+    closed form.  A rate that is not finite (the form overflows at very
+    large coefficients) raises :class:`NumericalInvariantError`.
     """
     _check_amplitudes(p, q)
     a, b, c = quadratic_coefficients(p, q, params)
-    return a * alpha**2 + b * alpha * beta + c * beta**2
-
-
-def dxi0_from_generator(
-    params: ModelParams, rho0: np.ndarray, psi: np.ndarray
-) -> float:
-    """Exact rate ``<psi| (L[rho0])^T_HO |psi>`` straight from the generator.
-
-    Cross-checks the closed forms without finite differencing; ``psi`` is
-    used as given (not normalized).
-    """
-    psi = np.asarray(psi, dtype=complex)
-    m = partial_transpose_second(apply_liouvillian(params, rho0))
-    return float((psi.conj() @ m @ psi).real)
+    try:
+        rate = a * alpha**2 + b * alpha * beta + c * beta**2
+    except OverflowError:  # a float squared past the float range
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise NumericalInvariantError("initial rate of Xi is not finite: the rate form overflows")
+    return rate
 
 
 def is_entangling(p: float, q: float, params: ModelParams) -> tuple[bool, float]:
@@ -195,22 +191,31 @@ class WitnessReport:
         }
 
 
+def _report(rho0: np.ndarray, psi: np.ndarray, rate: float, direction: str) -> WitnessReport:
+    """``Xi(0)`` from ``rho0`` along ``psi / |psi|``, with ``rate`` and the verdict.
+
+    A zero norm is a configuration error; a norm that overflows raises
+    :class:`NumericalInvariantError`.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(psi))
+    if norm == 0.0:
+        raise ConfigError(f"witness direction vanishes at {direction}")
+    if not math.isfinite(norm):
+        raise NumericalInvariantError(f"witness direction norm overflows at {direction}")
+    xi0 = xi(rho0, psi / norm)
+    return WitnessReport(xi0=xi0, dxi0=rate, entangling=bool(abs(xi0) < 1e-12 and rate < 0.0),
+                         direction=direction)
+
+
 def report_for_kappas(
     kappa1: float, kappa3: float, params: ModelParams, kappa2: float = 0.0
 ) -> WitnessReport:
     """Witness report for the ``|0>_Q |1>_HO`` start along the kappa direction."""
-    psi = kappa_vector(kappa1, kappa2, kappa3)
-    norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
-        raise ConfigError("kappa coefficients must not all vanish")
-    xi0 = xi(product_state(1.0, 0.0), psi / norm)
-    rate = dxi0_quadratic(kappa1, kappa3, params)
-    return WitnessReport(
-        xi0=xi0,
-        dxi0=rate,
-        entangling=bool(abs(xi0) < 1e-12 and rate < 0.0),
-        direction=f"kappa1={fmt(kappa1)}, kappa2={fmt(kappa2)}, kappa3={fmt(kappa3)}",
-    )
+    _check_finite(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3)
+    return _report(product_state(1.0, 0.0), kappa_vector(kappa1, kappa2, kappa3),
+                   dxi0_quadratic(kappa1, kappa3, params),
+                   f"kappa1={fmt(kappa1)}, kappa2={fmt(kappa2)}, kappa3={fmt(kappa3)}")
 
 
 def report_for_product_state(
@@ -229,25 +234,17 @@ def report_for_product_state(
     if (alpha is None) != (beta is None):
         raise ConfigError("alpha and beta must be supplied together")
     _check_amplitudes(p, q)
-    a, b, c = quadratic_coefficients(p, q, params)
     if alpha is None:
+        a, b, c = quadratic_coefficients(p, q, params)
         form = np.array([[a, b / 2.0], [b / 2.0, c]])
         eigvals, eigvecs = np.linalg.eigh(form)
         alpha, beta = (float(x) for x in eigvecs[:, 0])
         rate = float(eigvals[0])
     else:
-        rate = a * alpha**2 + b * alpha * beta + c * beta**2
-    psi = witness_vector(p, q, alpha, beta)
-    norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
-        raise ConfigError("witness direction vanishes for these coefficients")
-    xi0 = xi(product_state(p, q), psi / norm)
-    return WitnessReport(
-        xi0=xi0,
-        dxi0=rate,
-        entangling=bool(abs(xi0) < 1e-12 and rate < 0.0),
-        direction=f"p={fmt(p)}, q={fmt(q)}, alpha={fmt(alpha)}, beta={fmt(beta)}",
-    )
+        _check_finite(alpha=alpha, beta=beta)
+        rate = dxi0_general(p, q, alpha, beta, params)
+    return _report(product_state(p, q), witness_vector(p, q, alpha, beta), rate,
+                   f"p={fmt(p)}, q={fmt(q)}, alpha={fmt(alpha)}, beta={fmt(beta)}")
 
 
 @dataclass(frozen=True)

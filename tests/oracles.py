@@ -2,11 +2,20 @@
 
 Everything here is deliberately written against raw numpy/scipy so the
 quantities being tested are derived along a different route than the code
-under test.  The exact propagator is ``scipy.linalg.expm``, not the
-package's ``matrix_exp``; one generator oracle lifts the Kossakowski matrix
-entry by entry, another builds one point at a time with ``np.kron``, and
-the RK4 oracle runs the k1-k4 stages one step at a
-time.  The only package code used is the error type and
+under test.
+
+* The exact propagator (:func:`propagate`) is ``scipy.linalg.expm``, not
+  the package's ``matrix_exp``.
+* Three generator oracles: :func:`master_equation_rhs` writes the master
+  equation term by term (the local qubit and oscillator channels and the
+  bath-induced cross terms), :func:`kossakowski_liouvillian` lifts the
+  Kossakowski matrix entry by entry, and :func:`per_value_liouvillian`
+  builds one point at a time with ``np.kron``.
+* The RK4 oracle runs the k1-k4 stages one step at a time.
+* Entropies, conditional entropies and discord come from eigensolvers, a
+  full-sphere angle grid and Nelder-Mead.
+
+The only package code used is the error type and
 ``matops.partial_transpose_second``.
 """
 
@@ -145,7 +154,7 @@ def bell_diagonal_discord(rho):
     return mutual - classical
 
 
-def _entropy_bits(rho):
+def entropy_bits(rho):
     """Von Neumann entropies (bits) of Hermitian matrices on the last two axes."""
     eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     logs = np.log2(np.where(eigs > 0.0, eigs, 1.0))
@@ -181,7 +190,7 @@ def _conditional_entropies(rho, theta, phi):
     p = (m[..., 0, 0] + m[..., 1, 1]).real
     live = p > 1e-12
     cond = m / np.where(live, p, 1.0)[..., None, None]
-    return np.where(live, p * _entropy_bits(cond), 0.0).sum(axis=-1)
+    return np.where(live, p * entropy_bits(cond), 0.0).sum(axis=-1)
 
 
 def conditional_entropy(rho, theta, phi):
@@ -228,9 +237,9 @@ def reference_discord(rho):
     one; the lowest of the refined values and the grid minimum is kept.
     """
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    s_q = float(_entropy_bits(np.einsum("qhph->qp", r)))
-    s_ho = float(_entropy_bits(np.einsum("qhqk->hk", r)))
-    mutual = s_q + s_ho - float(_entropy_bits(np.asarray(rho, dtype=complex)))
+    s_q = float(entropy_bits(np.einsum("qhph->qp", r)))
+    s_ho = float(entropy_bits(np.einsum("qhqk->hk", r)))
+    mutual = s_q + s_ho - float(entropy_bits(np.asarray(rho, dtype=complex)))
     th, ph = np.meshgrid(np.linspace(0.0, np.pi, 64),
                          np.linspace(0.0, 2 * np.pi, 64, endpoint=False), indexing="ij")
     grid = _conditional_entropies(rho, th, ph)
@@ -264,6 +273,39 @@ def eta1_asymptotic_state(gamma1, gamma2, rho0):
     r = gamma1 / gamma2
     sigma = (np.diag([r * r, 0.0, 0.0, 1.0]) + r * bell_state("psi+")) / (r * r + r + 1.0)
     return dark * bell_state("psi-") + (1.0 - dark) * sigma
+
+
+def master_equation_rhs(params, rho):
+    """Master-equation right-hand side for one 4x4 ``rho``, written term by term.
+
+    ``-i [H, rho]`` plus, for each pair of jump operators ``(A, B)``, the
+    term ``rate (2 A rho B^dag - {B^dag A, rho})``: the local qubit channel
+    (``gamma1`` with ``sigma_-^Q``, ``gamma2`` with ``sigma_+^Q``), the
+    local oscillator channel scaled by ``eta^2``, and the bath-induced cross
+    terms scaled by ``eta`` in both orders ``(Q, HO)`` and ``(HO, Q)``.
+    Reads only the attributes ``omega``, ``gamma1``, ``gamma2`` and ``eta``
+    of ``params``.
+    """
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    sm = sp.T.copy()
+    sz = np.diag([-1.0, 1.0]).astype(complex)
+    eye2 = np.eye(2, dtype=complex)
+    sm_q, sp_q = np.kron(sm, eye2), np.kron(sp, eye2)
+    sm_ho, sp_ho = np.kron(eye2, sm), np.kron(eye2, sp)
+    g1, g2, eta = params.gamma1, params.gamma2, params.eta
+    h = 0.5 * params.omega * np.kron(sz, eye2) + params.omega * np.kron(eye2, sp @ sm)
+    rho = np.asarray(rho, dtype=complex)
+
+    def term(rate, a, b):
+        bd_a = b.conj().T @ a
+        return rate * (2.0 * (a @ rho @ b.conj().T) - (bd_a @ rho + rho @ bd_a))
+
+    out = -1j * (h @ rho - rho @ h)
+    out += term(g1, sm_q, sm_q) + term(g2, sp_q, sp_q)
+    out += term(g1 * eta**2, sm_ho, sm_ho) + term(g2 * eta**2, sp_ho, sp_ho)
+    for rate, a, b in ((g1 * eta, sm_q, sm_ho), (g2 * eta, sp_q, sp_ho)):
+        out += term(rate, a, b) + term(rate, b, a)
+    return out
 
 
 def kossakowski_liouvillian(h, k):
@@ -347,11 +389,18 @@ def rk4_stage_states(superop, rho0, t_max, steps, samples):
     return np.array(states)
 
 
+def propagate(superop, rho, t):
+    """``unvec(expm(t S) vec(rho))`` under column stacking, for any real t.
+
+    No state check: negative times may leave the state space.
+    """
+    v = np.asarray(rho, dtype=complex).reshape(-1, order="F")
+    return (expm(t * superop) @ v).reshape(4, 4, order="F")
+
+
 def xi_value(superop, rho0, psi, t):
     """Xi(t) along the exact propagator, for arbitrary real t."""
-    rho_t = (expm(t * superop) @ rho0.reshape(-1, order="F")).reshape(
-        4, 4, order="F"
-    )
+    rho_t = propagate(superop, rho0, t)
     return float((psi.conj() @ partial_transpose_second(rho_t) @ psi).real)
 
 

@@ -571,6 +571,35 @@ def test_witness_rejects_amplitudes_outside_the_unit_interval(tmp_path, capsys, 
     assert not out.exists()
 
 
+WITNESS_PROBE = ["witness", "--gamma1", "1.01", "--gamma2", "0.01", "--omega", "0.001",
+                 "--eta", "0.6"]
+
+
+@pytest.mark.parametrize("coefficients,code,message", [
+    (["--p", "0.5", "--q", "0.5", "--alpha", "1e160", "--beta", "1"], 3,
+     "the rate form overflows"),
+    (["--kappa1", "1e200", "--kappa3", "1"], 3, "the rate form overflows"),
+    (["--kappa1", "1", "--kappa3", "1", "--kappa2", "1e200"], 3,
+     "witness direction norm overflows at kappa1=1, kappa2=1e+200, kappa3=1"),
+    (["--p", "0.5", "--q", "0.5", "--alpha", "nan", "--beta", "1"], 2, "alpha must be finite"),
+    (["--p", "0.5", "--q", "0.5", "--alpha", "1", "--beta=-inf"], 2, "beta must be finite"),
+    (["--kappa1", "nan", "--kappa3", "1"], 2, "kappa1 must be finite"),
+    (["--kappa1", "1", "--kappa3", "1", "--kappa2", "nan"], 2, "kappa2 must be finite"),
+])
+def test_witness_direction_coefficients_exit_with_a_message(tmp_path, coefficients, code,
+                                                            message):
+    out = tmp_path / "w.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "bathlink.cli", *WITNESS_PROBE, *coefficients, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == code
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------ config
 
 def test_config_file_supplies_flags(tmp_path):

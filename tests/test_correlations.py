@@ -11,7 +11,6 @@ from bathlink.correlations import (
     discord,
     mutual_information,
     negativity,
-    von_neumann_entropy,
 )
 from bathlink.dynamics import evolve_exact, evolve_rk, product_state
 from bathlink.errors import ConfigError
@@ -22,6 +21,7 @@ from oracles import (
     bell_diagonal_discord,
     bell_state,
     conditional_entropy,
+    entropy_bits,
     max_abs_diff,
     measurement_projectors,
     random_density,
@@ -61,30 +61,32 @@ def test_negativity_local_unitary_invariance(seed):
 
 
 # ----------------------------------------------------------------- entropy
+# The reference entropy that the tests below compare against, pinned to
+# closed forms; the package's own entropies meet it through mutual_information.
 
 def test_entropy_pure_state():
-    assert von_neumann_entropy(bell_state("phi+")) < 1e-12
+    assert entropy_bits(bell_state("phi+")) < 1e-12
 
 
 def test_entropy_maximally_mixed():
-    assert abs(von_neumann_entropy(np.eye(4) / 4) - 2.0) < 1e-12
+    assert abs(entropy_bits(np.eye(4) / 4) - 2.0) < 1e-12
 
 
 def test_entropy_half_half():
-    assert abs(von_neumann_entropy(np.diag([0.5, 0.5, 0.0, 0.0])) - 1.0) < 1e-12
+    assert abs(entropy_bits(np.diag([0.5, 0.5, 0.0, 0.0])) - 1.0) < 1e-12
 
 
 def test_entropy_rejects_bad_trace():
-    with pytest.raises(ConfigError):
-        von_neumann_entropy(np.eye(4))
+    with pytest.raises(ConfigError, match="entropy input has trace"):
+        mutual_information(np.eye(4))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_entropy_concavity(seed):
     rng = np.random.default_rng(700 + seed)
     r1, r2 = random_density(rng), random_density(rng)
-    mixed = von_neumann_entropy((r1 + r2) / 2)
-    assert mixed >= 0.5 * von_neumann_entropy(r1) + 0.5 * von_neumann_entropy(r2) - 1e-9
+    mixed = entropy_bits((r1 + r2) / 2)
+    assert mixed >= 0.5 * entropy_bits(r1) + 0.5 * entropy_bits(r2) - 1e-9
 
 
 # -------------------------------------------------------- mutual information
@@ -97,6 +99,16 @@ def test_mutual_information_bell():
     assert abs(mutual_information(bell_state("phi+")) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_mutual_information_matches_oracle_entropies(seed):
+    rng = np.random.default_rng(850 + seed)
+    states = np.array([random_density(rng) for _ in range(8)] + [bell_state("psi-")])
+    r = states.reshape(-1, 2, 2, 2, 2)  # marginals by einsum, not by partial_trace
+    expected = (entropy_bits(np.einsum("nqhph->nqp", r)) + entropy_bits(np.einsum("nqhqk->nhk", r))
+                - entropy_bits(states))
+    assert max_abs_diff(mutual_information(states), expected) < 1e-12
+
+
 def test_mutual_information_classical_correlation():
     rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     assert abs(mutual_information(rho) - 1.0) < 1e-12
@@ -107,8 +119,8 @@ def test_mutual_information_bounds(seed):
     rng = np.random.default_rng(800 + seed)
     rho = random_density(rng)
     mi = mutual_information(rho)
-    s_a = von_neumann_entropy(partial_trace(rho, "first"))
-    s_b = von_neumann_entropy(partial_trace(rho, "second"))
+    s_a = entropy_bits(partial_trace(rho, "first"))
+    s_b = entropy_bits(partial_trace(rho, "second"))
     assert mi >= -1e-9
     assert mi <= 2.0 * min(s_a, s_b) + 1e-9
 
@@ -127,7 +139,7 @@ def test_conditional_entropy_product_state_equals_marginal_entropy():
     # measuring the oscillator cannot inform about the qubit
     rho_q = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     rho = kron(rho_q, np.diag([0.4, 0.6]).astype(complex))
-    expected = von_neumann_entropy(rho_q)
+    expected = entropy_bits(rho_q)
     for theta, phi in [(0.0, 0.0), (0.7, 1.3), (2.5, 4.0)]:
         got = conditional_entropy(rho, theta, phi)
         assert abs(got - expected) < 1e-10
@@ -222,7 +234,7 @@ def test_discord_dominates_raw_grid_optimum(seed):
     rho = random_density(rng)
     thetas = np.linspace(0.0, math.pi, 64)
     phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    grid_j = von_neumann_entropy(partial_trace(rho, "first")) - float(
+    grid_j = entropy_bits(partial_trace(rho, "first")) - float(
         conditional_entropy_grid(rho[None], thetas, phis).min()
     )
     sample = corr.discord(rho)
@@ -306,7 +318,7 @@ def test_discord_matches_reference(kind):
         assert abs(result.discord[k] - ref_discord) <= 1e-9
         assert abs(result.classical_corr[k] - ref_classical) <= 1e-9
         # the reported axis attains the reported optimum
-        s_q = von_neumann_entropy(partial_trace(rho, "first"))
+        s_q = entropy_bits(partial_trace(rho, "first"))
         attained = conditional_entropy(rho, result.theta[k], result.phi[k])
         assert abs(s_q - attained - result.classical_corr[k]) <= 1e-9
         assert 0.0 <= result.theta[k] <= math.pi / 2
@@ -335,7 +347,7 @@ def test_discord_logs_searches_left_unconverged(monkeypatch, caplog):
     # the result stands: no worse than the coarse scan's optimum
     for rho, classical in zip(states, result.classical_corr):
         scan = conditional_entropy_grid(rho[None], corr.SCAN_THETAS, corr.SCAN_PHIS).min()
-        s_q = von_neumann_entropy(partial_trace(rho, "first"))
+        s_q = entropy_bits(partial_trace(rho, "first"))
         assert classical >= s_q - scan
 
 

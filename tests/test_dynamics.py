@@ -9,14 +9,13 @@ from bathlink.dynamics import (
     evolve_exact,
     evolve_rk,
     product_state,
-    propagate,
     trajectory_to_csv,
     validate_density_matrix,
 )
 from bathlink.errors import ConfigError, NumericalInvariantError, StabilityError
 from bathlink.matops import trace_norm
 from bathlink.model import ModelParams, build_liouvillian, steady_state_analytic
-from oracles import max_abs_diff, rk4_stage_states
+from oracles import max_abs_diff, propagate, rk4_stage_states
 
 
 def ket_projector(index):
@@ -71,13 +70,13 @@ def test_evolve_rk_zero_time(canonical_liouvillian):
 def test_evolve_rk_matches_exact_propagator(canonical_liouvillian):
     rho0 = product_state(1.0, 0.0)
     traj = evolve_rk(canonical_liouvillian, rho0, 1.0, steps=1000, samples=1)
-    exact = propagate(canonical_liouvillian, rho0, 1.0)
+    exact = propagate(canonical_liouvillian.superop, rho0, 1.0)
     assert trace_norm(traj.final_state - exact) < 1e-6
 
 
 def test_evolve_rk_fourth_order_convergence(canonical_liouvillian):
     rho0 = product_state(1.0, 0.0)
-    exact = propagate(canonical_liouvillian, rho0, 1.0)
+    exact = propagate(canonical_liouvillian.superop, rho0, 1.0)
     err = {}
     for steps in (100, 200):
         traj = evolve_rk(canonical_liouvillian, rho0, 1.0, steps=steps, samples=1)
@@ -131,9 +130,10 @@ def test_evolve_exact_starts_at_initial_state(canonical_liouvillian):
 
 
 def test_evolve_exact_semigroup_composition(canonical_liouvillian):
+    # two hops of exp(1 S) against one exponential exp(2 S)
     rho0 = product_state(1.0, 0.0)
-    one_hop = propagate(canonical_liouvillian, rho0, 2.0)
-    two_hops = propagate(canonical_liouvillian, propagate(canonical_liouvillian, rho0, 1.0), 1.0)
+    one_hop = propagate(canonical_liouvillian.superop, rho0, 2.0)
+    two_hops = evolve_exact(canonical_liouvillian, rho0, np.array([0.0, 1.0, 2.0])).final_state
     assert max_abs_diff(one_hop, two_hops) < 1e-12
 
 
@@ -143,6 +143,10 @@ def test_evolve_exact_uniform_and_irregular_grids_agree(canonical_liouvillian):
     irregular = evolve_exact(canonical_liouvillian, rho0, np.array([0.0, 0.5, 1.0, 1.7, 2.0]))
     assert max_abs_diff(uniform.states[2], irregular.states[2]) < 1e-12
     assert max_abs_diff(uniform.states[4], irregular.states[4]) < 1e-12
+    # 1.7 is no whole multiple of the first interval: stepping every interval
+    # by exp(0.5 S) would land it at 1.5
+    exact = propagate(canonical_liouvillian.superop, rho0, 1.7)
+    assert max_abs_diff(irregular.states[3], exact) < 1e-12
 
 
 def test_evolve_exact_steps_a_list_like_each_generator_alone():
@@ -179,7 +183,7 @@ def test_evolve_exact_steps_random_times_like_propagate(horizon):
     rho0 = product_state(0.6, -0.4)
     times = np.concatenate([[0.0], np.sort(np.random.default_rng(7).uniform(0.0, horizon, 400))])
     traj = evolve_exact(liou, rho0, times)
-    direct = np.array([propagate(liou, rho0, float(t)) for t in times])
+    direct = np.array([propagate(liou.superop, rho0, float(t)) for t in times])
     assert max_abs_diff(traj.states, direct) < 1e-12
 
 
@@ -201,8 +205,8 @@ def test_evolve_exact_requires_zero_start(canonical_liouvillian):
 def test_propagate_accepts_negative_times(canonical_liouvillian):
     # backward propagation may leave the state space but must invert forward
     rho0 = product_state(1.0, 0.0)
-    fwd = propagate(canonical_liouvillian, rho0, 0.3)
-    back = propagate(canonical_liouvillian, fwd, -0.3)
+    fwd = evolve_exact(canonical_liouvillian, rho0, np.array([0.0, 0.3])).final_state
+    back = propagate(canonical_liouvillian.superop, fwd, -0.3)
     assert max_abs_diff(back, rho0) < 1e-12
 
 
@@ -213,7 +217,7 @@ def test_long_time_limit_reaches_thermal_state():
     liou = build_liouvillian(params)
     rho_ss = steady_state_analytic(params)
     for p, q in [(1.0, 0.0), (0.0, 1.0), (0.5, -0.5), (1.0, 1.0)]:
-        final = propagate(liou, product_state(p, q), 2000.0)
+        final = evolve_exact(liou, product_state(p, q), np.array([0.0, 2000.0])).final_state
         assert trace_norm(final - rho_ss) < 1e-3
 
 
@@ -223,7 +227,7 @@ def test_equal_coupling_conserves_antisymmetric_population(canonical_liouvillian
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     rho0 = product_state(1.0, 0.0)
     pop0 = float((singlet.conj() @ rho0 @ singlet).real)
-    rho_t = propagate(canonical_liouvillian, rho0, 30.0)
+    rho_t = evolve_exact(canonical_liouvillian, rho0, np.array([0.0, 30.0])).final_state
     pop_t = float((singlet.conj() @ rho_t @ singlet).real)
     assert abs(pop0 - 0.5) < 1e-12
     assert abs(pop_t - pop0) < 1e-9
