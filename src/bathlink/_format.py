@@ -29,13 +29,18 @@ def fmt(x: float) -> str:
 def atomic_write(path: str):
     """Write to a temp file in the target directory, rename on success.
 
-    No partial output file is left behind if the body raises.
+    No partial output file is left behind if the body raises.  The file
+    gets the mode ``open`` would give it, ``0o666`` less the umask, not the
+    temp file's private ``0o600``.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             yield handle
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

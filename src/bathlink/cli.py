@@ -4,8 +4,9 @@ Subcommands: ``simulate``, ``heatmap``, ``region``, ``steady-state``,
 ``witness``.  All times are dimensionless (zeta * t); rates are per unit of
 that time.  Exit codes: 0 success, 2 configuration error, 3 numerical
 invariant failure.  Output files are written atomically (temp file +
-rename) and with fixed 12-significant-digit formatting, so identical
-configurations produce byte-identical files.
+rename); tables print 12 significant digits and the region, steady-state
+and witness JSON files full ``repr`` floats, so identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -45,7 +47,7 @@ from .witness import (
 _TIME_HELP = "dimensionless time zeta*t"
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, with_eta: bool = True) -> None:
+def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("model parameters")
     g.add_argument("--gamma1", type=float, default=None,
                    help="emission rate (per unit zeta*t); pair with --gamma2")
@@ -56,9 +58,8 @@ def _add_param_flags(parser: argparse.ArgumentParser, with_eta: bool = True) -> 
                         "alternative to explicit rates")
     g.add_argument("--zeta", type=float, default=None,
                    help="spontaneous emission constant setting the time unit (default 1)")
-    if with_eta:
-        g.add_argument("--eta", type=float, default=None,
-                       help="oscillator/qubit bath-coupling ratio (dimensionless)")
+    g.add_argument("--eta", type=float, default=None,
+                   help="oscillator/qubit bath-coupling ratio (dimensionless)")
     g.add_argument("--omega", type=float, default=None,
                    help="system frequency (dimensionless units)")
 
@@ -79,7 +80,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     flag's own ``type`` and ``choices``; a ``store_true`` flag takes only a
     JSON boolean.
     """
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     try:
         with open(args.config) as f:
@@ -120,7 +121,7 @@ def _config_value(key: str, value, action: argparse.Action):
     return parsed
 
 
-def _resolve_params(args: argparse.Namespace, eta: float | None = None) -> ModelParams:
+def _resolve_params(args: argparse.Namespace) -> ModelParams:
     """Build ModelParams from flags; rates come from one source only."""
     have_rates = args.gamma1 is not None or args.gamma2 is not None
     have_temp = args.temperature is not None
@@ -128,21 +129,19 @@ def _resolve_params(args: argparse.Namespace, eta: float | None = None) -> Model
         raise ConfigError(
             "config error: give either --gamma1/--gamma2 or --temperature, not both"
         )
-    if eta is None:
-        eta = getattr(args, "eta", None)
-    if eta is None:
+    if args.eta is None:
         raise ConfigError("config error: --eta is required")
     if args.omega is None:
         raise ConfigError("config error: --omega is required")
     zeta = 1.0 if args.zeta is None else args.zeta
     if have_temp:
         return ModelParams.from_temperature(
-            zeta=zeta, temperature=args.temperature, eta=eta, omega=args.omega
+            zeta=zeta, temperature=args.temperature, eta=args.eta, omega=args.omega
         )
     if args.gamma1 is None or args.gamma2 is None:
         raise ConfigError("config error: --gamma1 and --gamma2 must be given together")
     return ModelParams.from_rates(
-        gamma1=args.gamma1, gamma2=args.gamma2, eta=eta, omega=args.omega, zeta=zeta
+        gamma1=args.gamma1, gamma2=args.gamma2, eta=args.eta, omega=args.omega, zeta=zeta
     )
 
 
@@ -175,6 +174,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     liou = build_liouvillian(params)
     method = args.method or "exact"
     if method == "rk4":
+        if args.steps is None and not math.isfinite(1000 * args.t_max):
+            raise ConfigError(f"config error: --t-max {args.t_max:g} is too long for the "
+                              "default rk4 step count (1000 per unit time); give --steps")
         steps = args.steps if args.steps is not None else max(1000, int(1000 * args.t_max))
         traj = evolve_rk(liou, rho0, args.t_max, steps=steps, samples=samples)
     else:
@@ -190,7 +192,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     columns = ["t", "negativity", "mutual_info", "discord", "classical_corr", "trace", "min_eig"]
     write_table(args.out, args.format or "csv", columns, table)
     if args.states_out:
-        trajectory_to_csv(traj, args.states_out)
+        try:
+            trajectory_to_csv(traj, args.states_out)
+        except BaseException:  # a failed run leaves neither file
+            os.unlink(args.out)
+            raise
     return 0
 
 
@@ -210,13 +216,17 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     _require(args, ["axis_min", "axis_max", "axis_steps"])
     if args.axis_steps < 1 or args.axis_max < args.axis_min:
         raise ConfigError("config error: need --axis-steps >= 1 and --axis-max >= --axis-min")
-    return list(np.linspace(args.axis_min, args.axis_max, args.axis_steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(args.axis_min, args.axis_max, args.axis_steps)
+    if not np.isfinite(values).all():
+        raise ConfigError("config error: the --axis-min/--axis-max range is not finite")
+    return values.tolist()
 
 
 def _sweep_params(args: argparse.Namespace, values: list[float]) -> list[ModelParams]:
     """The model parameters at every axis value, all checked before any is used."""
     if args.axis == "eta":
-        if getattr(args, "eta", None) is not None:
+        if args.eta is not None:
             raise ConfigError("config error: --axis eta sweeps eta; drop --eta")
     elif args.temperature is not None or args.gamma1 is not None or args.gamma2 is not None:
         raise ConfigError(
@@ -225,19 +235,11 @@ def _sweep_params(args: argparse.Namespace, values: list[float]) -> list[ModelPa
         )
 
     def params_at(value: float) -> ModelParams:
-        if args.axis == "eta":
-            if value < 0:
-                raise ConfigError(f"config error: eta axis value {value} is negative")
-            return _resolve_params(args, eta=value)
-        if value <= 0:
+        if args.axis == "eta" and value < 0:
+            raise ConfigError(f"config error: eta axis value {value} is negative")
+        if args.axis == "temperature" and value <= 0:
             raise ConfigError(f"config error: temperature axis value {value} must be > 0")
-        _require(args, ["eta", "omega"])
-        return ModelParams.from_temperature(
-            zeta=1.0 if args.zeta is None else args.zeta,
-            temperature=value,
-            eta=args.eta,
-            omega=args.omega,
-        )
+        return _resolve_params(argparse.Namespace(**{**vars(args), args.axis: value}))
 
     return [params_at(value) for value in values]
 
@@ -252,8 +254,6 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         "mutual_info": mutual_information,
         "discord": lambda states: discord(states).discord,
     }
-    if args.observable not in measures:
-        raise ConfigError(f"config error: unknown observable {args.observable!r}")
     measure = measures[args.observable]
     rho0 = product_state(args.p, args.q)
     times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)

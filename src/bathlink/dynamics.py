@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,14 +38,14 @@ PSD_TOL = -1e-8
 def validate_density_matrix(
     rho: np.ndarray, context: str = "state", times: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Check unit trace, Hermiticity, and positivity; return what was tested.
+    """Check finite entries, unit trace, Hermiticity, and positivity; return what was tested.
 
     The tolerances are ``TRACE_TOL``, ``HERM_TOL`` and ``PSD_TOL``.  ``rho``
     is one state ``(4, 4)`` or a stack ``(N, 4, 4)``, checked with one
-    stacked eigensolver call.  The first failing state of a stack is named
-    by its time in ``times`` when given, else by its index.  A valid ``rho``
-    gives the real part of each trace and each least eigenvalue, of shape
-    ``()`` or ``(N,)``.
+    stacked eigensolver call; a state with a non-finite entry fails as such.
+    The first failing state of a stack is named by its time in ``times``
+    when given, else by its index.  A valid ``rho`` gives the real part of
+    each trace and each least eigenvalue, of shape ``()`` or ``(N,)``.
 
     The eigenvalues are those of ``rho`` as stored (``eigvalsh`` reads its
     lower triangle), not of its Hermitian part.  Both differ by at most
@@ -57,16 +56,20 @@ def validate_density_matrix(
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise NumericalInvariantError(f"{context}: expected 4x4, got {rho.shape}")
     stack = rho.reshape(-1, 4, 4)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = stack if finite.all() else np.where(finite[:, None, None], stack, np.eye(4) / 4)
     tr = np.trace(stack, axis1=1, axis2=2)
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     min_eig = np.linalg.eigvalsh(stack).min(axis=1)
-    bad = (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL) | (min_eig <= PSD_TOL)
+    bad = ~finite | (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL) | (min_eig <= PSD_TOL)
     if not bad.any():
         return tr.real.reshape(rho.shape[:-2]), min_eig.reshape(rho.shape[:-2])
     k = int(np.argmax(bad))
     if rho.ndim == 3:
         context = f"{context} at t={times[k]:g}" if times is not None else f"{context} {k}"
+    if not finite[k]:
+        raise NumericalInvariantError(f"{context}: entries are not finite")
     if tr_dev[k] >= TRACE_TOL:
         raise NumericalInvariantError(f"{context}: trace deviates by {tr_dev[k]:.3e}")
     if herm_dev[k] >= HERM_TOL:
@@ -74,20 +77,23 @@ def validate_density_matrix(
     raise NumericalInvariantError(f"{context}: negative eigenvalue {min_eig[k]:.3e}")
 
 
-def product_state(p: float, q: float) -> np.ndarray:
+def product_state(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
     """Pure product state from real amplitudes p, q in [-1, 1].
 
     ``|phi> = (p|0> + sqrt(1-p^2)|1>)_Q (x) (q|0> + sqrt(1-q^2)|1>)_HO``,
     so ``(p=1, q=0)`` is ``|0>_Q |1>_HO`` and ``(p=0, q=1)`` is ``|1>_Q |0>_HO``.
+    ``p`` and ``q`` may be arrays that broadcast against each other; the
+    result then is a stack ``shape + (4, 4)``.
     """
-    if not -1.0 <= p <= 1.0:
+    if not np.all(np.abs(p) <= 1.0):
         raise ConfigError(f"p must lie in [-1, 1], got {p}")
-    if not -1.0 <= q <= 1.0:
+    if not np.all(np.abs(q) <= 1.0):
         raise ConfigError(f"q must lie in [-1, 1], got {q}")
-    a = np.array([p, math.sqrt(1.0 - p * p)], dtype=complex)
-    b = np.array([q, math.sqrt(1.0 - q * q)], dtype=complex)
-    psi = np.kron(a, b)
-    return np.outer(psi, psi.conj())
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    a = np.stack([p, np.sqrt(1.0 - p * p)], axis=-1).astype(complex)
+    b = np.stack([q, np.sqrt(1.0 - q * q)], axis=-1).astype(complex)
+    psi = (a[..., :, None] * b[..., None, :]).reshape(p.shape + (4,))
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 @dataclass(frozen=True)
@@ -95,17 +101,13 @@ class Trajectory:
     """Time-ordered states of one propagation.
 
     ``times`` is strictly increasing with ``times[0] = 0``; every stored
-    state satisfies the density-matrix invariants, and ``trace`` (real
-    part) and ``min_eig`` hold what :func:`validate_density_matrix`
-    measured of each.  The two ``max_*`` fields record the largest
-    Hermitization / trace renormalization applied while storing RK samples
-    (identically zero for exact propagation).
+    state satisfies the density-matrix invariants as stored, and ``trace``
+    (real part) and ``min_eig`` hold what :func:`validate_density_matrix`
+    measured of each.
     """
 
     times: np.ndarray
     states: np.ndarray
-    max_hermiticity_correction: float = 0.0
-    max_trace_correction: float = 0.0
     trace: np.ndarray = field(init=False, repr=False)
     min_eig: np.ndarray = field(init=False, repr=False)
 
@@ -143,7 +145,7 @@ def _sample(
     one (batched) matrix-vector product per interval.
     """
     v = np.empty((count + 1,) + batch + (16, 1), dtype=complex)
-    v[0] = vec(rho0)[:, None]
+    v[0] = vec(rho0)[..., None]
     for k, step in enumerate(maps):
         np.matmul(step, v[k], out=v[k + 1])
     return unvec(v[..., 0])
@@ -167,12 +169,10 @@ def evolve_rk(
     degree-4 Taylor polynomial ``P(hS) = 1 + hS + (hS)^2/2 + (hS)^3/6 +
     (hS)^4/24`` (its stability function).  The map between samples,
     ``P(hS)^substeps``, is built once by repeated squaring and applied with
-    one matrix-vector product per sample.  The samples after ``t = 0`` are
-    then re-Hermitized and trace-renormalized as one stack, with the largest
-    corrections recorded on the returned trajectory; the corrections are not
-    fed back, so each sample is the integrator's own image of ``rho0``.  A
-    trace drift of ``TRACE_TOL`` or more (too few steps, or so many that
-    rounding dominates) raises at the first sample that shows it.
+    one matrix-vector product per sample.  ``P(hS)`` preserves trace and
+    Hermiticity like the exact map, so each sample is stored as integrated
+    and checked as it is; a failing check (too few steps, or so many that
+    rounding dominates) says so.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0, context="initial state")
@@ -198,52 +198,31 @@ def evolve_rk(
             f"step size {h:.3e} times spectral radius "
             f"{liouvillian.spectral_radius:.3e} is >= 1; increase steps"
         )
-    times = np.linspace(0.0, t_max, samples + 1)
     a = h * liouvillian.superop
     eye = np.eye(16)
-    taylor = eye + a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))
-    step = np.linalg.matrix_power(taylor, substeps)
-    raw = _sample(itertools.repeat(step, samples), rho0, samples, ())[1:]
-    adjoint = raw.conj().swapaxes(1, 2)
-    herm_corr = np.abs(raw - adjoint).max(axis=(1, 2)) / 2.0
-    hermitian = (raw + adjoint) / 2.0
-    tr = np.trace(hermitian, axis1=1, axis2=2).real
-    tr_corr = np.abs(tr - 1.0)
-    drifted = ~(tr_corr < TRACE_TOL)  # also catches a NaN trace
-    if drifted.any():
-        k = int(np.argmax(drifted))
-        raise NumericalInvariantError(
-            f"trace drifted by {tr_corr[k]:.3e} at t={times[k + 1]:g}; "
-            "the step count is too small, or so large that rounding dominates"
-        )
-    max_herm = float(herm_corr.max())
-    max_tr = float(tr_corr.max())
-    log.debug(
-        "evolve_rk: %d samples x %d substeps, h=%.3e, max corrections herm=%.3e trace=%.3e",
-        samples, substeps, h, max_herm, max_tr,
-    )
-    return Trajectory(
-        times=times,
-        states=np.concatenate([rho0[None], hermitian / tr[:, None, None]]),
-        max_hermiticity_correction=max_herm,
-        max_trace_correction=max_tr,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        taylor = eye + a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))
+        step = np.linalg.matrix_power(taylor, substeps)
+    log.debug("evolve_rk: %d samples x %d substeps, h=%.3e", samples, substeps, h)
+    with _noting("the step count is too small, or so large that rounding dominates"):
+        return Trajectory(np.linspace(0.0, t_max, samples + 1),
+                          _sample(itertools.repeat(step, samples), rho0, samples, ()))
 
 
 @contextmanager
-def _naming(liouvillian: Liouvillian):
-    """Re-raise a numerical failure with the generator's parameters at its end."""
+def _noting(note: str):
+    """Re-raise a numerical failure with ``note`` appended to its message."""
     try:
         yield
     except NumericalInvariantError as exc:
-        raise type(exc)(f"{exc}; generator at {liouvillian.params.label()}") from exc
+        raise type(exc)(f"{exc}; {note}") from exc
 
 
 def _maps(generators: list[Liouvillian], dt: float) -> np.ndarray:
     """``exp(dt S)`` of each generator, as one ``(K, 16, 16)`` stack."""
     maps = np.empty((len(generators), 16, 16), dtype=complex)
     for k, liouvillian in enumerate(generators):
-        with _naming(liouvillian):
+        with _noting(f"generator at {liouvillian.params.label()}"):
             maps[k] = matrix_exp(liouvillian.superop, dt)
     return maps
 
@@ -279,7 +258,7 @@ def evolve_exact(
     stack = _sample(maps, rho0, dts.size, (len(generators),))
     trajectories = []
     for k, generator in enumerate(generators):
-        with _naming(generator):
+        with _noting(f"generator at {generator.params.label()}"):
             trajectories.append(Trajectory(times=times, states=stack[:, k]))
     return trajectories[0] if single else trajectories
 

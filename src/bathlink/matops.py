@@ -193,8 +193,9 @@ def trace_norm(a: np.ndarray) -> float:
 
 
 def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(x, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization of an n x n matrix, or of each matrix of a stack."""
+    x = np.asarray(x, dtype=complex)
+    return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray, n: int = 4) -> np.ndarray:

@@ -246,7 +246,7 @@ def build_liouvillian(
     ``S = -i (1 kron H - H^T kron 1) + 2 gamma1 D[J_down] + 2 gamma2 D[J_up]``
     with ``J_down = sigma_-^Q + eta sigma_-^HO`` and ``J_up = sigma_+^Q +
     eta sigma_+^HO``: the rank-two Kossakowski matrix written through its two
-    nonzero eigenvectors.  The generator must couple no two different
+    nonzero eigenvectors.  The generator must be finite, couple no two different
     coherence orders (those entries exactly 0.0), annihilate the trace and
     have no eigenvalue with a positive real part, the last two within
     rounding: 1e-12 and 1e-10 times ``max(1, max|S|)``.
@@ -262,9 +262,15 @@ def build_liouvillian(
         for name in ("omega", "gamma1", "gamma2", "eta")
     )
     h = 0.5 * omega * _H_QUBIT + omega * _H_OSCILLATOR
-    s = (-1j * (_bkron(_EYE4, h) - _bkron(h.swapaxes(1, 2), _EYE4))
-         + _lift_dissipator(2.0 * gamma1, SM_Q + eta * SM_HO)
-         + _lift_dissipator(2.0 * gamma2, SP_Q + eta * SP_HO))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (-1j * (_bkron(_EYE4, h) - _bkron(h.swapaxes(1, 2), _EYE4))
+             + _lift_dissipator(2.0 * gamma1, SM_Q + eta * SM_HO)
+             + _lift_dissipator(2.0 * gamma2, SP_Q + eta * SP_HO))
+    finite = np.isfinite(s).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalInvariantError(
+            f"generator is not finite at {points[int(np.argmin(finite))].label()}"
+        )
     eigvals = np.linalg.eigvals(s)
     leak = np.abs(s[:, _CROSS_ORDER]).max(axis=1)
     # both residuals are rounding of entries as large as max|S|
@@ -308,6 +314,10 @@ def steady_state_analytic(params: ModelParams) -> np.ndarray:
             "the kernel dimension"
         )
     r = params.gamma1 / params.gamma2
+    if not math.isfinite(r * r):
+        raise NumericalInvariantError(
+            f"thermal ratio gamma1/gamma2 = {r:.3e} is too large: its square overflows"
+        )
     return np.diag([r**2, r, r, 1.0]).astype(complex) / (1.0 + r) ** 2
 
 

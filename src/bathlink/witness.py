@@ -28,7 +28,7 @@ import numpy as np
 
 from ._format import fmt
 from .correlations import negativity
-from .dynamics import product_state
+from .dynamics import _sample, product_state
 from .errors import ConfigError, NumericalInvariantError
 from .matops import matrix_exp, partial_transpose_second
 from .model import Liouvillian, ModelParams, build_liouvillian
@@ -102,8 +102,13 @@ def quadratic_roots(kappa3: float, params: ModelParams) -> tuple[float, float]:
     g1, g2, eta = params.gamma1, params.gamma2, params.eta
     if eta == 0 or g1 == 0:
         raise ConfigError("root interval requires eta > 0 and gamma1 > 0")
-    roots = sorted((kappa3 * g2 / (g1 * eta), kappa3 / eta))
-    return roots[0], roots[1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        roots = (np.float64(kappa3) * g2 / (np.float64(g1) * eta), np.float64(kappa3) / eta)
+    if not np.isfinite(roots).all():
+        raise NumericalInvariantError(
+            f"kappa1 root interval is not finite at kappa3={fmt(kappa3)}, {params.label()}"
+        )
+    return float(min(roots)), float(max(roots))
 
 
 def _check_amplitudes(p, q) -> None:
@@ -137,14 +142,18 @@ def dxi0_general(
     """Initial rate of Xi from the (p, q) product state along ``witness_vector``.
 
     Independent of vartheta and of omega; see the module docstring for the
-    closed form.  A rate that is not finite (the form overflows at very
-    large coefficients) raises :class:`NumericalInvariantError`.
+    closed form.  It is summed at (alpha, beta) times the power of two that
+    brings the larger into [0.5, 1) and scaled back (exact at ordinary sizes),
+    so a negative rate that underflows keeps its sign as -0.0; a rate past
+    the float range raises :class:`NumericalInvariantError`.
     """
     _check_amplitudes(p, q)
     a, b, c = quadratic_coefficients(p, q, params)
+    e = -math.frexp(max(abs(alpha), abs(beta)))[1]
+    alpha, beta = math.ldexp(alpha, e), math.ldexp(beta, e)
     try:
-        rate = a * alpha**2 + b * alpha * beta + c * beta**2
-    except OverflowError:  # a float squared past the float range
+        rate = math.ldexp(a * alpha**2 + b * alpha * beta + c * beta**2, -2 * e)
+    except OverflowError:  # the scaled-back rate is past the float range
         rate = math.inf
     if not math.isfinite(rate):
         raise NumericalInvariantError("initial rate of Xi is not finite: the rate form overflows")
@@ -194,18 +203,18 @@ class WitnessReport:
 def _report(rho0: np.ndarray, psi: np.ndarray, rate: float, direction: str) -> WitnessReport:
     """``Xi(0)`` from ``rho0`` along ``psi / |psi|``, with ``rate`` and the verdict.
 
-    A zero norm is a configuration error; a norm that overflows raises
-    :class:`NumericalInvariantError`.
+    The norm is taken after an exact power-of-two rescale of ``psi``, so it
+    neither overflows nor underflows; the verdict reads the sign bit of
+    ``rate``, which an underflow keeps.  A zero direction is a configuration error.
     """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
+    largest = float(np.abs(psi).max())
+    if largest == 0.0:
         raise ConfigError(f"witness direction vanishes at {direction}")
-    if not math.isfinite(norm):
-        raise NumericalInvariantError(f"witness direction norm overflows at {direction}")
-    xi0 = xi(rho0, psi / norm)
-    return WitnessReport(xi0=xi0, dxi0=rate, entangling=bool(abs(xi0) < 1e-12 and rate < 0.0),
-                         direction=direction)
+    exponent = -np.frexp(largest)[1]
+    psi = np.ldexp(psi.real, exponent) + 1j * np.ldexp(psi.imag, exponent)
+    xi0 = xi(rho0, psi / np.linalg.norm(psi))
+    return WitnessReport(xi0=xi0, dxi0=rate, direction=direction,
+                         entangling=bool(abs(xi0) < 1e-12 and math.copysign(1.0, rate) < 0.0))
 
 
 def report_for_kappas(
@@ -306,18 +315,13 @@ def _short_time_negativities(
     """Negativity at time tau from the product states of the (p, q) arrays (one expm).
 
     The states are built, propagated and measured ``_CONFIRM_BLOCK`` at a
-    time, as stacks.
+    time, as stacks, through :func:`product_state` and the sampling loop.
     """
-    propagator = matrix_exp(liouvillian.superop, tau)
+    step = [matrix_exp(liouvillian.superop, tau)]
     out = np.empty(p.size)
     for start in range(0, p.size, _CONFIRM_BLOCK):
-        bp, bq = p[start:start + _CONFIRM_BLOCK], q[start:start + _CONFIRM_BLOCK]
-        sp, sq = np.sqrt(1.0 - bp * bp), np.sqrt(1.0 - bq * bq)
-        psi = np.stack([bp * bq, bp * sq, sp * bq, sp * sq], axis=-1)
-        # |psi><psi| is real and symmetric, so its row-major flattening is its vec
-        v = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 16).astype(complex)
-        rhos = np.matmul(propagator, v[..., None]).reshape(-1, 4, 4).swapaxes(1, 2)
-        out[start:start + bp.size] = negativity((rhos + rhos.conj().swapaxes(1, 2)) / 2)
+        rho0 = product_state(p[start:start + _CONFIRM_BLOCK], q[start:start + _CONFIRM_BLOCK])
+        out[start:start + len(rho0)] = negativity(_sample(step, rho0, 1, rho0.shape[:1])[1])
     return out
 
 

@@ -366,9 +366,9 @@ def rk4_stage_states(superop, rho0, t_max, steps, samples):
 
     The step count is rounded up to a multiple of ``samples`` and each
     stored state is Hermitized and trace-renormalized before the next
-    segment starts from it.  ``evolve_rk`` applies the same corrections but
-    does not feed them back; the two routes differ by those corrections'
-    rounding, which the tests bound.
+    segment starts from it.  ``evolve_rk`` stores its samples as integrated,
+    uncorrected: ``P(hS)`` preserves trace and Hermiticity, so the two routes
+    differ by rounding and by those corrections, which the tests bound.
     """
     substeps = -(-steps // samples)
     h = t_max / (samples * substeps)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -200,7 +201,10 @@ def test_simulate_rk4_rounding_floor_exits_3(tmp_path, capsys):
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--method", "rk4", "--t-max", "1", "--samples", "2",
                  "--steps", "10000000000000", "--out", str(out)]) == 3
-    assert "trace drifted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "state at t=0.5: trace deviates by" in err
+    assert err.rstrip().endswith(
+        "; the step count is too small, or so large that rounding dominates")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -579,8 +583,8 @@ WITNESS_PROBE = ["witness", "--gamma1", "1.01", "--gamma2", "0.01", "--omega", "
     (["--p", "0.5", "--q", "0.5", "--alpha", "1e160", "--beta", "1"], 3,
      "the rate form overflows"),
     (["--kappa1", "1e200", "--kappa3", "1"], 3, "the rate form overflows"),
-    (["--kappa1", "1", "--kappa3", "1", "--kappa2", "1e200"], 3,
-     "witness direction norm overflows at kappa1=1, kappa2=1e+200, kappa3=1"),
+    (["--kappa1", "0", "--kappa3", "0"], 2,
+     "witness direction vanishes at kappa1=0, kappa2=0, kappa3=0"),
     (["--p", "0.5", "--q", "0.5", "--alpha", "nan", "--beta", "1"], 2, "alpha must be finite"),
     (["--p", "0.5", "--q", "0.5", "--alpha", "1", "--beta=-inf"], 2, "beta must be finite"),
     (["--kappa1", "nan", "--kappa3", "1"], 2, "kappa1 must be finite"),
@@ -597,6 +601,75 @@ def test_witness_direction_coefficients_exit_with_a_message(tmp_path, coefficien
     assert message in result.stderr
     assert "Traceback" not in result.stderr
     assert "RuntimeWarning" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("coefficients,unit,direction", [
+    (["--eta", "1e-320", "--kappa1", "1e-300", "--kappa3", "1e-300", "--roots"],
+     ["--eta", "1e-320", "--kappa1", "1", "--kappa3", "1"],
+     "kappa1=1e-300, kappa2=0, kappa3=1e-300"),
+    (["--eta", "0.6", "--p", "0.5", "--q", "0.5", "--alpha", "1e-300", "--beta", "1e-300"],
+     ["--eta", "0.6", "--p", "0.5", "--q", "0.5", "--alpha", "1", "--beta", "1"],
+     "p=0.5, q=0.5, alpha=1e-300, beta=1e-300"),
+    (["--eta", "0.6", "--kappa1", "1e-300", "--kappa2", "1e-300", "--kappa3", "1e-300"],
+     ["--eta", "0.6", "--kappa1", "1", "--kappa2", "1", "--kappa3", "1"],
+     "kappa1=1e-300, kappa2=1e-300, kappa3=1e-300"),
+    (["--eta", "0.6", "--kappa1", "1", "--kappa2", "1e200", "--kappa3", "1"],
+     ["--eta", "0.6", "--kappa1", "1", "--kappa2", "1", "--kappa3", "1"],
+     "kappa1=1, kappa2=1e+200, kappa3=1"),
+])
+def test_witness_reports_directions_of_any_finite_scale(tmp_path, coefficients, unit,
+                                                        direction):
+    # the norm and the rate are taken after a power-of-two rescale, so the
+    # direction neither vanishes nor overflows, and the verdict and the sign
+    # of the rate (kept as -0.0 where it underflows) are those at scale 1
+    payloads = []
+    for name, flags in (("w.json", coefficients), ("unit.json", unit)):
+        out = tmp_path / name
+        assert main(["witness", "--gamma1", "1.01", "--gamma2", "0.01", "--omega", "0.001",
+                     *flags, "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    payload, reference = payloads
+    assert payload["direction"] == direction
+    assert abs(payload["xi0"]) < 1e-12
+    assert payload["entangling"] == reference["entangling"]
+    assert math.copysign(1.0, payload["dxi0"]) == math.copysign(1.0, reference["dxi0"])
+
+
+def test_witness_roots_that_overflow_exit_3(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert main(["witness", "--gamma1", "1.01", "--gamma2", "0.01", "--omega", "0.001",
+                 "--eta", "1e-320", "--kappa1", "1", "--kappa3", "1", "--roots",
+                 "--out", str(out)]) == 3
+    assert "kappa1 root interval is not finite at kappa3=1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["steady-state", "--gamma1", "1e200", "--gamma2", "1.01", "--omega", "0.001",
+      "--eta", "0"], 3, "thermal ratio gamma1/gamma2 = 9.901e+199 is too large"),
+    (["steady-state", "--gamma1", "1.01", "--gamma2", "1e-320", "--omega", "0.001",
+      "--eta", "1"], 3, "thermal ratio gamma1/gamma2 = inf is too large"),
+    (["region", *CANON[:4], "--omega", "1e308", "--eta", "0.5", "--n", "3"], 3,
+     "generator is not finite at omega=1e+308"),
+    (["simulate", *CANON[:4], "--omega", "1e308", "--eta", "0.5", "--p", "1", "--q", "0",
+      "--t-max", "1"], 3, "generator is not finite at omega=1e+308"),
+    (["simulate", *CANON, "--eta", "0.5", "--p", "1", "--q", "0", "--t-max", "1e306",
+      "--method", "rk4"], 2, "--t-max 1e+306 is too long for the default rk4 step count"),
+])
+def test_overflowing_inputs_exit_with_a_message(tmp_path, capsys, argv, code, message):
+    # RuntimeWarnings are errors under the suite's filter, so none is raised either
+    assert main([*argv, "--out", str(tmp_path / "x.json")]) == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_failed_states_out_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "ok.csv"
+    assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0", "--t-max", "1",
+                 "--samples", "2", "--states-out", str(tmp_path / "missing" / "s.csv"),
+                 "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -51,11 +51,22 @@ def test_product_state_is_pure_and_uncorrelated(seed):
     assert negativity(rho) < 1e-14
 
 
+def test_product_state_broadcasts_like_each_scalar_call():
+    p = np.array([-1.0, -0.3, 0.0, 0.6, 1.0])
+    q = np.array([[0.8], [-0.5], [1.0]])
+    stack = product_state(p, q)
+    assert stack.shape == (3, 5, 4, 4)
+    for (i, j), _ in np.ndenumerate(stack[..., 0, 0]):
+        assert np.array_equal(stack[i, j], product_state(float(p[j]), float(q[i, 0])))
+
+
 def test_product_state_range_check():
     with pytest.raises(ConfigError):
         product_state(1.2, 0.0)
     with pytest.raises(ConfigError):
         product_state(0.0, -1.01)
+    with pytest.raises(ConfigError, match="p must lie"):
+        product_state(np.array([0.5, np.nan]), 0.0)
 
 
 # ---------------------------------------------------------------- evolve_rk
@@ -87,7 +98,7 @@ def test_evolve_rk_fourth_order_convergence(canonical_liouvillian):
 
 @pytest.mark.parametrize("eta,steps,samples", [(0.6, 5000, 50), (1.0, 999, 7), (0.3, 40, 40)])
 def test_evolve_rk_matches_stage_oracle(eta, steps, samples):
-    # the step-matrix power against the k1-k4 stage loop, same per-sample correction
+    # the step-matrix power against the k1-k4 stage loop, which renormalizes each sample
     liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, eta, 0.001))
     rho0 = product_state(0.6, -0.4)
     traj = evolve_rk(liou, rho0, 5.0, steps=steps, samples=samples)
@@ -100,13 +111,14 @@ def test_evolve_rk_stability_guard(canonical_liouvillian):
         evolve_rk(canonical_liouvillian, product_state(1.0, 0.0), 100.0, steps=1, samples=1)
 
 
-def test_evolve_rk_invariants_and_corrections(canonical_liouvillian):
+def test_evolve_rk_invariants_of_the_stored_states(canonical_liouvillian):
     traj = evolve_rk(canonical_liouvillian, product_state(1.0, 0.0), 20.0,
                      steps=20000, samples=100)
-    # construction already validated trace/Hermiticity/positivity of every state
+    # construction already validated trace/Hermiticity/positivity of every state;
+    # the states are stored as integrated, so these bound P(hS) itself
     assert len(traj) == 101
-    assert traj.max_trace_correction < 1e-9
-    assert traj.max_hermiticity_correction < 1e-12
+    assert np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max() < 1e-9
+    assert np.abs(traj.states - traj.states.conj().swapaxes(1, 2)).max() < 1e-12
     for rho in traj.states[::25]:
         assert np.linalg.eigvalsh(rho).min() > -1e-8
 
@@ -287,6 +299,23 @@ def test_validate_stack_reports_first_bad_state():
     validate_density_matrix(states[[0, 2]])
     with pytest.raises(NumericalInvariantError, match="expected 4x4"):
         validate_density_matrix(states[None])
+
+
+def test_validate_names_the_first_failing_state_finite_or_not():
+    states = np.repeat(product_state(1.0, 0.0)[None], 3, axis=0)
+    states[1, 2, 3] = np.inf
+    states[2] = np.nan
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^state at t=0\.5: entries are not finite$"):
+        validate_density_matrix(states, times=np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(NumericalInvariantError, match=r"^state 2: entries are not finite$"):
+        validate_density_matrix(states[[0, 0, 2]])
+    # a failing finite state is named before a later non-finite one
+    states[1] = 1.01 * product_state(1.0, 0.0)
+    with pytest.raises(NumericalInvariantError, match=r"^state 1: trace deviates by 1\.000e-02$"):
+        validate_density_matrix(states)
+    with pytest.raises(NumericalInvariantError, match=r"^state at t=0: entries are not finite$"):
+        Trajectory(times=np.array([0.0, 1.0]), states=np.full((2, 4, 4), np.nan))
 
 
 def test_trajectory_csv_format(tmp_path, canonical_liouvillian):

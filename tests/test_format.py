@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,15 @@ def test_write_json_rejects_non_finite_values(tmp_path):
     with pytest.raises(NumericalInvariantError, match="not JSON compliant"):
         write_json(str(tmp_path / "x.json"), {"ok": 1.0, "excess": float("nan")})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        write_json(str(tmp_path / "x.json"), {"a": 1.0})
+        write_table(str(tmp_path / "x.csv"), "csv", ["a"], [[1.0]])
+    finally:
+        os.umask(previous)
+    for name in ("x.json", "x.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask

@@ -224,6 +224,16 @@ def test_vec_unvec_roundtrip_and_multiplication_law():
     assert max_abs_diff(unvec(lhs), a @ x @ b) < 1e-13
 
 
+def test_vec_of_a_stack_is_the_vec_of_each_matrix():
+    rng = np.random.default_rng(1)
+    xs = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    stacked = vec(xs)
+    assert stacked.shape == (2, 3, 16)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(stacked[i, j], xs[i, j].reshape(-1, order="F"))
+    assert np.array_equal(unvec(stacked), xs)
+
+
 def test_trace_norm_of_hermitian():
     rng = np.random.default_rng(1)
     a = random_hermitian(rng)
