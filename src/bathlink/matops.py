@@ -188,8 +188,15 @@ def matrix_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
+    """Sum of singular values of a square matrix.
+
+    The singular values of ``A`` are the positive eigenvalues of the
+    Hermitian ``[[0, A], [A^dagger, 0]]`` (its spectrum is ``+-sigma``), so
+    this is half the sum of that matrix's eigenvalue magnitudes.
+    """
+    a = np.asarray(a, dtype=complex)
+    zero = np.zeros_like(a)
+    return float(np.abs(np.linalg.eigvalsh(np.block([[zero, a], [a.conj().T, zero]]))).sum() / 2.0)
 
 
 def vec(x: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ reports the kernel dimension instead of assuming uniqueness.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -109,6 +110,15 @@ class ModelParams:
     temperature: float | None = None
 
     def __post_init__(self):
+        # every field becomes a Python float, on which the checks below overflow
+        # to inf where numpy scalars would warn
+        for name in ("omega", "zeta", "gamma1", "gamma2", "eta", "temperature"):
+            value = getattr(self, name)
+            if name == "temperature" and value is None:
+                continue
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name in ("omega", "zeta", "gamma1", "gamma2", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

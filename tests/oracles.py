@@ -14,6 +14,8 @@ under test.
 * The RK4 oracle runs the k1-k4 stages one step at a time.
 * Entropies, conditional entropies and discord come from eigensolvers, a
   full-sphere angle grid and Nelder-Mead.
+* Negativity comes from the trace norm of the partial transpose, by SVD
+  (:func:`negativity_trace_norm`), not from its eigenvalues.
 
 The only package code used is the error type and
 ``matops.partial_transpose_second``.
@@ -152,6 +154,21 @@ def bell_diagonal_discord(rho):
         (1 + s * c) / 2 * np.log2(1 + s * c) for s in (+1, -1) if 1 + s * c > 1e-15
     )
     return mutual - classical
+
+
+def negativity_trace_norm(rho):
+    """Negativity by the trace norm: ``(sum of singular values of rho^T_HO - tr rho)/2``.
+
+    One state or a stack.  The partial transpose is written by index here,
+    ``<q h|rho^T_HO|q' h'> = <q h'|rho|q' h>``, and the singular values come
+    from an SVD, so neither the package's partial transpose nor its
+    eigensolver route is used.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    blocks = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    pt = np.einsum("...qhpk->...qkph", blocks).reshape(rho.shape)
+    singular = np.linalg.svd(pt, compute_uv=False).sum(axis=-1)
+    return (singular - np.trace(rho, axis1=-2, axis2=-1).real) / 2.0
 
 
 def entropy_bits(rho):

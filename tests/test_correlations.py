@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 import re
@@ -13,8 +14,8 @@ from bathlink.correlations import (
     negativity,
 )
 from bathlink.dynamics import evolve_exact, evolve_rk, product_state
-from bathlink.errors import ConfigError
-from bathlink.matops import kron, partial_trace
+from bathlink.errors import ConfigError, NumericalInvariantError
+from bathlink.matops import kron, partial_trace, partial_transpose_second
 from bathlink.model import ModelParams, build_liouvillian
 from oracles import (
     bell_diagonal,
@@ -24,6 +25,7 @@ from oracles import (
     entropy_bits,
     max_abs_diff,
     measurement_projectors,
+    negativity_trace_norm,
     random_density,
     random_unitary,
     reference_discord,
@@ -58,6 +60,165 @@ def test_negativity_local_unitary_invariance(seed):
     u = kron(random_unitary(rng), random_unitary(rng))
     rotated = u @ rho @ u.conj().T
     assert abs(negativity(rotated) - negativity(rho)) < 1e-9
+
+
+def _random_states():
+    """128 seeded states, 32 of each rank from 1 (pure) to 4."""
+    rng = np.random.default_rng(1300)
+    rank = np.repeat(np.arange(1, 5), 32)
+    a = rng.normal(size=(128, 4, 4)) + 1j * rng.normal(size=(128, 4, 4))
+    a *= np.arange(4) < rank[:, None, None]
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _bell_and_werner_states():
+    return np.array([w * bell_state(kind) + (1.0 - w) * np.eye(4) / 4.0
+                     for kind in ("phi+", "phi-", "psi+", "psi-")
+                     for w in np.linspace(0.0, 1.0, 21)])
+
+
+def _region_confirmation_states(monkeypatch):
+    """The states ``region --eta 1 --n 121 --confirm-dynamics`` measures at tau = 1e-4."""
+    import bathlink.witness as witness
+
+    seen = []
+
+    def record(states):
+        seen.append(np.array(states))
+        return negativity(states)
+
+    monkeypatch.setattr(witness, "negativity", record)
+    params = ModelParams.from_rates(1.01, 0.01, 1.0, 0.001)
+    witness.region_scan(params, 121, spot_checks=0, confirm_dynamics=True, confirm_tau=1e-4)
+    return np.concatenate(seen)
+
+
+def _heatmap_states():
+    """The negativity heatmap's trajectories: 41 eta values in [0, 1] x 251 times."""
+    sweep = [ModelParams.from_rates(1.01, 0.01, eta, 0.001) for eta in np.linspace(0.0, 1.0, 41)]
+    trajectories = evolve_exact(build_liouvillian(sweep), product_state(0.6, 0.3),
+                                np.linspace(0.0, 6.0, 251))
+    return np.concatenate([traj.states for traj in trajectories])
+
+
+AGREEMENT_SETS = {
+    "random": lambda monkeypatch: _random_states(),
+    "bell_werner": lambda monkeypatch: _bell_and_werner_states(),
+    "region_confirmation": _region_confirmation_states,
+    "heatmap": lambda monkeypatch: _heatmap_states(),
+}
+
+
+@pytest.mark.parametrize("name", AGREEMENT_SETS)
+def test_negativity_matches_trace_norm_oracle(name, monkeypatch):
+    states = AGREEMENT_SETS[name](monkeypatch)
+    assert max_abs_diff(negativity(states), negativity_trace_norm(states)) < 1e-10
+
+
+@pytest.mark.parametrize("name", AGREEMENT_SETS)
+def test_partial_transpose_determinant_is_negative_exactly_when_entangled(name, monkeypatch):
+    # Augusiak, Demianowicz & Horodecki, PRA 77, 030301(R) (2008): det(pt) < 0
+    # exactly when the least eigenvalue of pt is; least eigenvalues within
+    # rounding of zero decide neither way and are left out
+    states = AGREEMENT_SETS[name](monkeypatch)
+    pt = partial_transpose_second(states)
+    least = np.linalg.eigvalsh(pt)[:, 0]
+    det = np.linalg.det(pt).real
+    clear = np.abs(least) > 1e-12
+    assert (least[clear] < 0.0).any()
+    assert np.array_equal(det[clear] < 0.0, least[clear] < 0.0)
+
+
+def test_spectrum_check_rejects_two_negative_eigenvalues(monkeypatch):
+    # a Hermitian stand-in for the partial transpose, with the state's trace,
+    # whose spectrum no two-qubit partial transpose can have
+    import bathlink.correlations as corr
+
+    fake = np.diag([-0.1, -0.1, 0.6, 0.6]).astype(complex)
+    monkeypatch.setattr(corr, "partial_transpose_second", lambda states: fake[None])
+    with pytest.raises(NumericalInvariantError, match="state 0: two negative"):
+        corr.negativity(np.eye(4) / 4.0)
+
+
+# The removed cross-check, kept here to compare against: the negativity from
+# the eigenvalues had to match the trace-norm form of the same partial
+# transpose to 1e-10.
+def _svd_check_fails(rho, pt_of, eigvalsh):
+    pt = pt_of(rho[None])
+    eigs = eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2)
+    from_eigs = ((np.abs(eigs) - eigs) / 2.0).sum(axis=-1)
+    from_norm = (np.linalg.svd(pt, compute_uv=False).sum(axis=-1) - np.trace(rho).real) / 2.0
+    return bool(np.abs(from_eigs - from_norm).max() >= 1e-10)
+
+
+_EIGVALSH = np.linalg.eigvalsh
+
+
+def _perturbed_eigenvalue(k):
+    def eigvalsh(a):
+        eigs = _EIGVALSH(a).copy()
+        eigs[..., k] += 1e-9
+        return eigs
+    return eigvalsh
+
+
+def _real_part_eigvalsh(a):
+    # the Hermitian part formed without its conj: eigvalsh then sees Re(pt)
+    return _EIGVALSH(a.real)
+
+
+def _dropped_conj_pt(states):
+    pt = partial_transpose_second(states).copy()
+    pt[..., 1, 0] = pt[..., 0, 1]
+    return pt
+
+
+def _axes_pt(perm):
+    def pt_of(states):
+        states = np.asarray(states, dtype=complex)
+        blocks = states.reshape(states.shape[:-2] + (2, 2, 2, 2))
+        return np.ascontiguousarray(blocks.transpose(0, *perm)).reshape(states.shape)
+    return pt_of
+
+
+#: (name, partial transpose, eigensolver) of each mutated negativity route.
+MUTATIONS = [
+    ("least_eigenvalue_plus_1e-9", partial_transpose_second, _perturbed_eigenvalue(0)),
+    ("largest_eigenvalue_plus_1e-9", partial_transpose_second, _perturbed_eigenvalue(3)),
+    ("pt_entry_without_conj", _dropped_conj_pt, _EIGVALSH),
+    ("hermitian_part_without_conj", partial_transpose_second, _real_part_eigvalsh),
+] + [
+    ("pt_axes_" + "".join("qhpk"[i - 1] for i in perm), _axes_pt(perm), _EIGVALSH)
+    for perm in itertools.permutations((1, 2, 3, 4)) if perm != (1, 4, 3, 2)
+]
+#: Mutations the spectrum check must catch on every state with complex entries.
+ALWAYS_CAUGHT = {"least_eigenvalue_plus_1e-9", "largest_eigenvalue_plus_1e-9",
+                 "pt_entry_without_conj", "hermitian_part_without_conj"}
+
+
+@pytest.mark.parametrize("name, pt_of, eigvalsh", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_spectrum_check_catches_every_mutation_the_svd_check_caught(
+        name, pt_of, eigvalsh, monkeypatch):
+    import bathlink.correlations as corr
+
+    complex_states = _random_states()[::4]
+    states = np.concatenate([complex_states, bell_state("psi-")[None]])
+    svd_caught = [_svd_check_fails(rho, pt_of, eigvalsh) for rho in states]
+    monkeypatch.setattr(corr, "partial_transpose_second", pt_of)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    caught = []
+    for rho in states:
+        try:
+            corr.negativity(rho)
+        except NumericalInvariantError as exc:
+            assert re.match(r"negativity: state 0: (two negative|\w.* does not match)", str(exc))
+            caught.append(True)
+        else:
+            caught.append(False)
+    assert all(c for c, s in zip(caught, svd_caught) if s)
+    if name in ALWAYS_CAUGHT:  # on the real Bell state a dropped conj changes nothing
+        assert all(caught[:len(complex_states)])
 
 
 # ----------------------------------------------------------------- entropy

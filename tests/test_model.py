@@ -128,6 +128,22 @@ def test_params_reject_non_finite_kossakowski_entries(gamma1, gamma2, eta):
         ModelParams.from_rates(gamma1, gamma2, eta, 0.001)
 
 
+def test_params_from_numpy_scalars_reach_the_config_error():
+    # numpy scalars would warn on the overflowing products (a RuntimeWarning
+    # fails the test); as floats they reach the check
+    with pytest.raises(ConfigError, match="Kossakowski matrix is not finite"):
+        ModelParams.from_rates(1.01, 0.01, np.float64(1e200), 0.001)
+    params = ModelParams.from_rates(np.float64(1.01), np.float32(0.5), np.int64(1), 0.001)
+    assert params == ModelParams.from_rates(1.01, 0.5, 1.0, 0.001)
+    assert all(type(value) is float for value in params.to_dict().values())
+
+
+@pytest.mark.parametrize("bad", ["1.0", None, 1j, [1.0]])
+def test_params_reject_values_that_are_not_real_numbers(bad):
+    with pytest.raises(ConfigError, match="eta must be a real number"):
+        ModelParams.from_rates(1.01, 0.01, bad, 0.001)
+
+
 def test_params_accept_large_finite_kossakowski_entries():
     params = ModelParams.from_rates(1.0, 0.01, 1e150, 0.001)
     assert np.isfinite(kossakowski_matrix(params)).all()
