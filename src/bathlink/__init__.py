@@ -30,7 +30,6 @@ from .model import (
     ModelParams,
     SteadyStateResult,
     build_liouvillian,
-    hamiltonian,
     kossakowski_matrix,
     rates_from_temperature,
     steady_state_analytic,
@@ -44,7 +43,6 @@ from .witness import (
     is_entangling,
     region_scan,
     witness_vector,
-    xi,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +65,6 @@ __all__ = [
     "dxi0_quadratic",
     "evolve_exact",
     "evolve_rk",
-    "hamiltonian",
     "is_entangling",
     "kossakowski_matrix",
     "mutual_information",
@@ -80,5 +77,4 @@ __all__ = [
     "trajectory_to_csv",
     "validate_density_matrix",
     "witness_vector",
-    "xi",
 ]

@@ -37,6 +37,9 @@ from .model import (
     steady_state_numeric,
 )
 from .witness import (
+    DEFAULT_CONFIRM_TAU,
+    DEFAULT_SEED,
+    DEFAULT_SPOT_CHECKS,
     is_entangling,
     quadratic_roots,
     region_scan,
@@ -151,16 +154,18 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
             raise ConfigError(f"config error: --{name.replace('_', '-')} is required")
 
 
-def _check_t_max(t_max: float) -> None:
-    if not math.isfinite(t_max) or t_max < 0:
-        raise ConfigError(f"config error: --t-max must be finite and >= 0, got {t_max}")
+def _time_grid(args: argparse.Namespace) -> tuple[int, np.ndarray]:
+    """``--samples`` and the uniform grid of ``samples + 1`` times over ``[0, --t-max]``.
 
-
-def _samples(args: argparse.Namespace) -> int:
+    At ``--t-max 0`` the grid is the single time 0.
+    """
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:
         raise ConfigError(f"config error: --samples must be >= 1, got {samples}")
-    return samples
+    if not math.isfinite(args.t_max) or args.t_max < 0:
+        raise ConfigError(f"config error: --t-max must be finite and >= 0, got {args.t_max}")
+    times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)
+    return samples, times
 
 
 # ---------------------------------------------------------------- simulate
@@ -168,8 +173,7 @@ def _samples(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     _require(args, ["p", "q", "t_max"])
-    samples = _samples(args)
-    _check_t_max(args.t_max)
+    samples, times = _time_grid(args)
     rho0 = product_state(args.p, args.q)
     liou = build_liouvillian(params)
     method = args.method or "exact"
@@ -182,7 +186,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if args.steps is not None:
             raise ConfigError("config error: --steps applies only to --method rk4")
-        times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)
         traj = evolve_exact(liou, rho0, times)
     measured = discord(traj.states)
     table = np.column_stack([
@@ -234,20 +237,13 @@ def _sweep_params(args: argparse.Namespace, values: list[float]) -> list[ModelPa
             "--temperature/--gamma1/--gamma2"
         )
 
-    def params_at(value: float) -> ModelParams:
-        if args.axis == "eta" and value < 0:
-            raise ConfigError(f"config error: eta axis value {value} is negative")
-        if args.axis == "temperature" and value <= 0:
-            raise ConfigError(f"config error: temperature axis value {value} must be > 0")
-        return _resolve_params(argparse.Namespace(**{**vars(args), args.axis: value}))
-
-    return [params_at(value) for value in values]
+    return [_resolve_params(argparse.Namespace(**{**vars(args), args.axis: value}))
+            for value in values]
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     _require(args, ["p", "q", "t_max", "observable", "axis"])
-    samples = _samples(args)
-    _check_t_max(args.t_max)
+    _, times = _time_grid(args)
     values = _axis_values(args)
     measures = {
         "negativity": negativity,
@@ -256,7 +252,6 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     }
     measure = measures[args.observable]
     rho0 = product_state(args.p, args.q)
-    times = np.linspace(0.0, args.t_max, samples + 1) if args.t_max > 0 else np.zeros(1)
     trajectories = evolve_exact(build_liouvillian(_sweep_params(args, values)), rho0, times)
     blocks = [np.column_stack([traj.times, np.full(len(traj), value), measure(traj.states)])
               for value, traj in zip(values, trajectories)]
@@ -270,14 +265,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _cmd_region(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     _require(args, ["n"])
-    scan = region_scan(
-        params,
-        n=args.n,
-        spot_checks=10 if args.spot_checks is None else args.spot_checks,
-        seed=0 if args.seed is None else args.seed,
-        confirm_dynamics=bool(args.confirm_dynamics),
-        confirm_tau=1e-4 if args.tau is None else args.tau,
-    )
+    given = {"spot_checks": args.spot_checks, "seed": args.seed, "confirm_tau": args.tau}
+    scan = region_scan(params, n=args.n, confirm_dynamics=args.confirm_dynamics,
+                       **{name: value for name, value in given.items() if value is not None})
     if (args.format or "csv") == "json":
         write_json(args.out, scan.to_dict())
     else:
@@ -378,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="oscillator amplitude of |0> in [-1, 1]")
     p_sim.add_argument("--t-max", type=float, default=None, help=f"end time ({_TIME_HELP})")
     p_sim.add_argument("--samples", type=int, default=None,
-                       help="uniform sampling intervals (default 400; emits samples+1 rows)")
+                       help=f"uniform sampling intervals (default {DEFAULT_SAMPLES}; "
+                            "emits samples+1 rows)")
     p_sim.add_argument("--method", choices=["exact", "rk4"], default=None,
                        help="propagator: exact exponential (default) or fixed-step RK4")
     p_sim.add_argument("--steps", type=int, default=None,
@@ -404,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0>")
     p_heat.add_argument("--t-max", type=float, default=None, help=f"end time ({_TIME_HELP})")
     p_heat.add_argument("--samples", type=int, default=None,
-                        help="uniform sampling intervals per sweep value (default 400)")
+                        help="uniform sampling intervals per sweep value "
+                             f"(default {DEFAULT_SAMPLES})")
     _add_output_flags(p_heat)
     p_heat.set_defaults(func=_cmd_heatmap, parser=p_heat)
 
@@ -414,11 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--confirm-dynamics", action="store_true", default=False,
                        help="add a short-time negativity column for every point")
     p_reg.add_argument("--tau", type=float, default=None,
-                       help=f"confirmation time (default 1e-4, {_TIME_HELP})")
+                       help=f"confirmation time (default {DEFAULT_CONFIRM_TAU:g}, {_TIME_HELP})")
     p_reg.add_argument("--spot-checks", type=int, default=None,
-                       help="random entangling points verified dynamically (default 10)")
+                       help="random entangling points verified dynamically "
+                            f"(default {DEFAULT_SPOT_CHECKS})")
     p_reg.add_argument("--seed", type=int, default=None,
-                       help="RNG seed for the spot checks (default 0)")
+                       help=f"RNG seed for the spot checks (default {DEFAULT_SEED})")
     _add_output_flags(p_reg)
     p_reg.set_defaults(func=_cmd_region, parser=p_reg)
 

@@ -207,17 +207,20 @@ def _checked_entropies(rho: np.ndarray) -> np.ndarray:
     return np.maximum(-terms.sum(axis=-1), 0.0)
 
 
+def _entropies(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(S(rho_Q), S(rho_Q) + S(rho_HO) - S(rho))`` of an (N, 4, 4) stack, in bits."""
+    s_q = _checked_entropies(partial_trace(states, "first"))
+    s_ho = _checked_entropies(partial_trace(states, "second"))
+    return s_q, s_q + s_ho - _checked_entropies(states)
+
+
 def mutual_information(rho: np.ndarray) -> float | np.ndarray:
     """``S(rho_Q) + S(rho_HO) - S(rho)`` total correlations (bits).
 
     A float for one state, an (N,) array for a stack.
     """
     states, single = _stack(rho)
-    total = (
-        _checked_entropies(partial_trace(states, "first"))
-        + _checked_entropies(partial_trace(states, "second"))
-        - _checked_entropies(states)
-    )
+    total = _entropies(states)[1]
     return float(total[0]) if single else total
 
 
@@ -356,8 +359,7 @@ def discord(rho: np.ndarray) -> Correlations:
     state's result does not depend on the rest of the stack.
     """
     states, single = _stack(rho)
-    s_q = _checked_entropies(partial_trace(states, "first"))
-    total = mutual_information(states)
+    s_q, total = _entropies(states)
     best, theta, phi = _minimize_conditional_entropy(states)
     classical = s_q - best
     fields = {"negativity": negativity(states), "mutual_info": total,

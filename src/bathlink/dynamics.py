@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -77,6 +78,12 @@ def validate_density_matrix(
     raise NumericalInvariantError(f"{context}: negative eigenvalue {min_eig[k]:.3e}")
 
 
+def _check_amplitudes(p: float | np.ndarray, q: float | np.ndarray) -> None:
+    """Raise :class:`ConfigError` unless every amplitude ``p``, ``q`` lies in [-1, 1]."""
+    if not (np.all(np.abs(p) <= 1.0) and np.all(np.abs(q) <= 1.0)):
+        raise ConfigError(f"p, q must lie in [-1, 1], got ({p}, {q})")
+
+
 def product_state(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
     """Pure product state from real amplitudes p, q in [-1, 1].
 
@@ -85,10 +92,7 @@ def product_state(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
     ``p`` and ``q`` may be arrays that broadcast against each other; the
     result then is a stack ``shape + (4, 4)``.
     """
-    if not np.all(np.abs(p) <= 1.0):
-        raise ConfigError(f"p must lie in [-1, 1], got {p}")
-    if not np.all(np.abs(q) <= 1.0):
-        raise ConfigError(f"q must lie in [-1, 1], got {q}")
+    _check_amplitudes(p, q)
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
     a = np.stack([p, np.sqrt(1.0 - p * p)], axis=-1).astype(complex)
     b = np.stack([q, np.sqrt(1.0 - q * q)], axis=-1).astype(complex)
@@ -176,8 +180,8 @@ def evolve_rk(
     """
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0, context="initial state")
-    if t_max < 0:
-        raise ConfigError(f"t_max must be >= 0, got {t_max}")
+    if not 0.0 <= t_max < math.inf:
+        raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if samples < 1:
@@ -230,7 +234,7 @@ def _maps(generators: list[Liouvillian], dt: float) -> np.ndarray:
 def evolve_exact(
     liouvillian: Liouvillian | Sequence[Liouvillian], rho0: np.ndarray, times: np.ndarray
 ) -> Trajectory | list[Trajectory]:
-    """Exact trajectory at the given times (ascending, starting at 0).
+    """Exact trajectory at the given times (finite, ascending, starting at 0).
 
     The states are stepped through the sampling loop, one map
     ``exp(dt_k S)`` per interval.  A uniform grid takes a single ``expm``
@@ -248,6 +252,8 @@ def evolve_exact(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ConfigError("times must be a non-empty 1-D sequence")
+    if not np.isfinite(times).all():
+        raise ConfigError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ConfigError("times must start at 0 and increase strictly")
     dts = np.diff(times)

@@ -205,9 +205,10 @@ def vec(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
 
 
-def unvec(v: np.ndarray, n: int = 4) -> np.ndarray:
-    """Inverse of :func:`vec` for an n x n matrix, or for each row of an (N, n*n) stack."""
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec`: each length-``n*n`` vector on the last axis as an n x n matrix."""
     v = np.asarray(v, dtype=complex)
+    n = math.isqrt(v.shape[-1])
     return v.reshape(*v.shape[:-1], n, n).swapaxes(-1, -2)
 
 

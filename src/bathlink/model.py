@@ -181,11 +181,6 @@ class ModelParams:
         return ", ".join(f"{key}={value:g}" for key, value in self.to_dict().items())
 
 
-def hamiltonian(params: ModelParams) -> np.ndarray:
-    """``(omega/2) sigma_z (x) 1 + omega 1 (x) sigma_+ sigma_-`` (4x4, diagonal)."""
-    return 0.5 * params.omega * _H_QUBIT + params.omega * _H_OSCILLATOR
-
-
 def kossakowski_matrix(params: ModelParams) -> np.ndarray:
     """Dissipator coefficient matrix over (G1, G2, G3, G4).
 
@@ -367,7 +362,7 @@ def steady_state_numeric(
             "kernel eigenvector is traceless; the steady manifold is degenerate"
         )
     state = candidate / tr
-    residual = float(np.abs(unvec(liouvillian.superop @ vec(state))).max())
+    residual = float(np.abs(liouvillian.apply(state)).max())
     return SteadyStateResult(
         state=state,
         null_space_dim=dim,

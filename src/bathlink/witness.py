@@ -22,42 +22,16 @@ independent of vartheta (and of omega).  Since A, C >= 0 always, a real
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._format import fmt
 from .correlations import negativity
-from .dynamics import _sample, product_state
+from .dynamics import _check_amplitudes, _sample, product_state
 from .errors import ConfigError, NumericalInvariantError
 from .matops import matrix_exp, partial_transpose_second
 from .model import Liouvillian, ModelParams, build_liouvillian
-
-
-#: Largest deviation of ``|psi|`` from 1 that :func:`xi` accepts.
-PSI_NORM_TOL = 1e-12
-
-
-def xi(rho: np.ndarray, psi: np.ndarray) -> float:
-    """``<psi| rho^T_HO |psi>`` for a unit-norm direction (within ``PSI_NORM_TOL``).
-
-    The imaginary part vanishes by Hermiticity and is asserted below 1e-10.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) >= PSI_NORM_TOL:
-        raise ConfigError(f"psi must be normalized within {PSI_NORM_TOL:g}, |psi| = {norm:.12g}")
-    value = complex(psi.conj() @ partial_transpose_second(rho) @ psi)
-    if abs(value.imag) >= 1e-10:
-        raise NumericalInvariantError(
-            f"quadratic form has imaginary part {value.imag:.3e}; input not Hermitian?"
-        )
-    return value.real
-
-
-def kappa_vector(kappa1: float, kappa2: float, kappa3: float) -> np.ndarray:
-    """Unnormalized direction ``kappa1|00> + kappa2|10> + kappa3|11>``."""
-    return np.array([kappa1, 0.0, kappa2, kappa3], dtype=complex)
 
 
 def witness_vector(
@@ -111,9 +85,9 @@ def quadratic_roots(kappa3: float, params: ModelParams) -> tuple[float, float]:
     return float(min(roots)), float(max(roots))
 
 
-def _check_amplitudes(p, q) -> None:
-    if not (np.all(np.abs(p) <= 1.0) and np.all(np.abs(q) <= 1.0)):
-        raise ConfigError(f"p, q must lie in [-1, 1], got ({p}, {q})")
+def _unit_exponent(largest: float) -> int:
+    """The power of two that brings ``largest`` (> 0) into [0.5, 1): an exact rescale."""
+    return -math.frexp(largest)[1]
 
 
 def _check_finite(**coefficients: float) -> None:
@@ -149,7 +123,7 @@ def dxi0_general(
     """
     _check_amplitudes(p, q)
     a, b, c = quadratic_coefficients(p, q, params)
-    e = -math.frexp(max(abs(alpha), abs(beta)))[1]
+    e = _unit_exponent(max(abs(alpha), abs(beta)))
     alpha, beta = math.ldexp(alpha, e), math.ldexp(beta, e)
     try:
         rate = math.ldexp(a * alpha**2 + b * alpha * beta + c * beta**2, -2 * e)
@@ -176,8 +150,7 @@ def is_entangling(p: float, q: float, params: ModelParams) -> tuple[bool, float]
         excess = b * b - 4.0 * a * c
     if not np.all(np.isfinite(excess)):
         raise NumericalInvariantError(
-            "entangling excess B^2 - 4AC is not finite at "
-            f"gamma1={params.gamma1:g}, gamma2={params.gamma2:g}, eta={params.eta:g}"
+            f"entangling excess B^2 - 4AC is not finite at {params.label()}"
         )
     return excess > 0.0, excess
 
@@ -192,27 +165,30 @@ class WitnessReport:
     direction: str
 
     def to_dict(self) -> dict:
-        return {
-            "xi0": self.xi0,
-            "dxi0": self.dxi0,
-            "entangling": self.entangling,
-            "direction": self.direction,
-        }
+        return asdict(self)
 
 
 def _report(rho0: np.ndarray, psi: np.ndarray, rate: float, direction: str) -> WitnessReport:
-    """``Xi(0)`` from ``rho0`` along ``psi / |psi|``, with ``rate`` and the verdict.
+    """``Xi(0) = <psi| rho0^T_HO |psi>`` along ``psi / |psi|``, with ``rate`` and the verdict.
 
     The norm is taken after an exact power-of-two rescale of ``psi``, so it
     neither overflows nor underflows; the verdict reads the sign bit of
-    ``rate``, which an underflow keeps.  A zero direction is a configuration error.
+    ``rate``, which an underflow keeps.  A zero direction is a configuration
+    error.  The imaginary part of ``Xi(0)`` vanishes by Hermiticity and is
+    asserted below 1e-10.
     """
     largest = float(np.abs(psi).max())
     if largest == 0.0:
         raise ConfigError(f"witness direction vanishes at {direction}")
-    exponent = -np.frexp(largest)[1]
+    exponent = _unit_exponent(largest)
     psi = np.ldexp(psi.real, exponent) + 1j * np.ldexp(psi.imag, exponent)
-    xi0 = xi(rho0, psi / np.linalg.norm(psi))
+    psi = psi / np.linalg.norm(psi)
+    value = complex(psi.conj() @ partial_transpose_second(rho0) @ psi)
+    if abs(value.imag) >= 1e-10:
+        raise NumericalInvariantError(
+            f"quadratic form has imaginary part {value.imag:.3e}; input not Hermitian?"
+        )
+    xi0 = value.real
     return WitnessReport(xi0=xi0, dxi0=rate, direction=direction,
                          entangling=bool(abs(xi0) < 1e-12 and math.copysign(1.0, rate) < 0.0))
 
@@ -220,9 +196,13 @@ def _report(rho0: np.ndarray, psi: np.ndarray, rate: float, direction: str) -> W
 def report_for_kappas(
     kappa1: float, kappa3: float, params: ModelParams, kappa2: float = 0.0
 ) -> WitnessReport:
-    """Witness report for the ``|0>_Q |1>_HO`` start along the kappa direction."""
+    """Witness report for the ``|0>_Q |1>_HO`` start along the kappa direction.
+
+    ``kappa1|00> + kappa2|10> + kappa3|11>`` is :func:`witness_vector` at
+    ``(p, q) = (1, 0)`` with ``(alpha, beta, vartheta) = (-kappa3, kappa1, -kappa2)``.
+    """
     _check_finite(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3)
-    return _report(product_state(1.0, 0.0), kappa_vector(kappa1, kappa2, kappa3),
+    return _report(product_state(1.0, 0.0), witness_vector(1.0, 0.0, -kappa3, kappa1, -kappa2),
                    dxi0_quadratic(kappa1, kappa3, params),
                    f"kappa1={fmt(kappa1)}, kappa2={fmt(kappa2)}, kappa3={fmt(kappa3)}")
 
@@ -271,8 +251,8 @@ class RegionScan:
     entangling: np.ndarray
     excess: np.ndarray
     spot_checks: list[dict]
+    confirm_tau: float
     confirm_negativity: np.ndarray | None = None
-    confirm_tau: float = 1e-4
 
     def table(self) -> tuple[list[str], np.ndarray]:
         """Columns ``p,q,entangling,excess[,negativity]`` and one row per point, p-major."""
@@ -301,6 +281,11 @@ class RegionScan:
 
 #: Confirmation states per stacked negativity call; keeps the stacks small.
 _CONFIRM_BLOCK = 512
+#: Defaults of :func:`region_scan`: random entangling points checked
+#: dynamically, the seed that picks them, and the confirmation time.
+DEFAULT_SPOT_CHECKS = 10
+DEFAULT_SEED = 0
+DEFAULT_CONFIRM_TAU = 1e-4
 
 
 def _symmetric_axis(n: int) -> np.ndarray:
@@ -328,10 +313,10 @@ def _short_time_negativities(
 def region_scan(
     params: ModelParams,
     n: int,
-    spot_checks: int = 10,
-    seed: int = 0,
+    spot_checks: int = DEFAULT_SPOT_CHECKS,
+    seed: int = DEFAULT_SEED,
     confirm_dynamics: bool = False,
-    confirm_tau: float = 1e-4,
+    confirm_tau: float = DEFAULT_CONFIRM_TAU,
 ) -> RegionScan:
     """Classify every point of a uniform n x n grid over [-1, 1]^2.
 

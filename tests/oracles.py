@@ -292,6 +292,17 @@ def eta1_asymptotic_state(gamma1, gamma2, rho0):
     return dark * bell_state("psi-") + (1.0 - dark) * sigma
 
 
+def hamiltonian(params):
+    """``(omega/2) sigma_z (x) 1 + omega 1 (x) sigma_+ sigma_-`` (4x4, diagonal).
+
+    Reads only the attribute ``omega`` of ``params``.
+    """
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    sz = np.diag([-1.0, 1.0]).astype(complex)
+    eye2 = np.eye(2, dtype=complex)
+    return 0.5 * params.omega * np.kron(sz, eye2) + params.omega * np.kron(eye2, sp @ sp.T)
+
+
 def master_equation_rhs(params, rho):
     """Master-equation right-hand side for one 4x4 ``rho``, written term by term.
 
@@ -305,12 +316,11 @@ def master_equation_rhs(params, rho):
     """
     sp = np.array([[0, 0], [1, 0]], dtype=complex)
     sm = sp.T.copy()
-    sz = np.diag([-1.0, 1.0]).astype(complex)
     eye2 = np.eye(2, dtype=complex)
     sm_q, sp_q = np.kron(sm, eye2), np.kron(sp, eye2)
     sm_ho, sp_ho = np.kron(eye2, sm), np.kron(eye2, sp)
     g1, g2, eta = params.gamma1, params.gamma2, params.eta
-    h = 0.5 * params.omega * np.kron(sz, eye2) + params.omega * np.kron(eye2, sp @ sm)
+    h = hamiltonian(params)
     rho = np.asarray(rho, dtype=complex)
 
     def term(rate, a, b):
@@ -363,9 +373,8 @@ def per_value_liouvillian(params):
     """
     sp = np.array([[0, 0], [1, 0]], dtype=complex)
     sm = sp.T.copy()
-    sz = np.diag([-1.0, 1.0]).astype(complex)
     eye2, eye4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
-    h = 0.5 * params.omega * np.kron(sz, eye2) + params.omega * np.kron(eye2, sp @ sm)
+    h = hamiltonian(params)
 
     def lift(rate, jump):
         jump_term = rate * np.kron(jump.conj(), jump)

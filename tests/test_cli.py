@@ -136,7 +136,7 @@ def test_simulate_bad_flag_combinations(tmp_path, capsys):
     assert "--eta" in capsys.readouterr().err
     assert main(["simulate", *CANON, "--eta", "1", "--p", "2", "--q", "0",
                  "--t-max", "1", "--out", str(out)]) == 2
-    assert "p must lie" in capsys.readouterr().err
+    assert "p, q must lie in [-1, 1], got (2.0, 0.0)" in capsys.readouterr().err
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--t-max", "1", "--steps", "50", "--out", str(out)]) == 2
     assert not out.exists()
@@ -314,8 +314,8 @@ def test_heatmap_temperature_axis_rejects_rate_flags(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("axis,values,message", [
-    ("eta", "0.5,-1", "eta axis value -1.0 is negative"),
-    ("temperature", "0.5,0", "temperature axis value 0.0 must be > 0"),
+    ("eta", "0.5,-1", "eta must be >= 0, got -1.0"),
+    ("temperature", "0.5,0", "temperature must be finite and > 0, got 0.0"),
 ])
 def test_heatmap_checks_every_value_before_building(tmp_path, capsys, monkeypatch,
                                                     axis, values, message):

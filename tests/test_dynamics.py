@@ -65,7 +65,7 @@ def test_product_state_range_check():
         product_state(1.2, 0.0)
     with pytest.raises(ConfigError):
         product_state(0.0, -1.01)
-    with pytest.raises(ConfigError, match="p must lie"):
+    with pytest.raises(ConfigError, match="p, q must lie"):
         product_state(np.array([0.5, np.nan]), 0.0)
 
 
@@ -131,6 +131,12 @@ def test_evolve_rk_rejects_bad_arguments(canonical_liouvillian):
         evolve_rk(canonical_liouvillian, rho0, 1.0, steps=0)
     with pytest.raises(NumericalInvariantError):
         evolve_rk(canonical_liouvillian, np.eye(4, dtype=complex), 1.0, steps=10)
+
+
+@pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+def test_evolve_rk_rejects_a_non_finite_t_max(canonical_liouvillian, t_max):
+    with pytest.raises(ConfigError, match=f"t_max must be finite and >= 0, got {t_max}$"):
+        evolve_rk(canonical_liouvillian, product_state(1.0, 0.0), t_max, steps=10)
 
 
 # ------------------------------------------------------------- evolve_exact
@@ -212,6 +218,11 @@ def test_evolve_exact_names_the_generator_that_fails():
 def test_evolve_exact_requires_zero_start(canonical_liouvillian):
     with pytest.raises(ConfigError):
         evolve_exact(canonical_liouvillian, product_state(1.0, 0.0), np.array([0.5, 1.0]))
+
+
+def test_evolve_exact_rejects_a_non_finite_time(canonical_liouvillian):
+    with pytest.raises(ConfigError, match="times must be finite, got nan$"):
+        evolve_exact(canonical_liouvillian, product_state(1.0, 0.0), [0.0, float("nan")])
 
 
 def test_propagate_accepts_negative_times(canonical_liouvillian):

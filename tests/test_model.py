@@ -11,13 +11,13 @@ from bathlink.matops import trace_norm, unvec, vec
 from bathlink.model import (
     ModelParams,
     build_liouvillian,
-    hamiltonian,
     kossakowski_matrix,
     rates_from_temperature,
     steady_state_analytic,
     steady_state_numeric,
 )
 from oracles import (
+    hamiltonian,
     kossakowski_liouvillian,
     master_equation_rhs,
     max_abs_diff,
@@ -251,6 +251,27 @@ def test_build_names_the_failing_sweep_point(monkeypatch):
     with pytest.raises(NumericalInvariantError,
                        match=r"couples different coherence orders .* at .*eta=0\.5$"):
         build_liouvillian(sweep)
+
+
+def test_build_rejects_a_trace_leak(monkeypatch):
+    lift = model._lift_dissipator
+    # a diagonal term keeps every coherence order apart but feeds the trace
+    monkeypatch.setattr(model, "_lift_dissipator",
+                        lambda rate, jump: lift(rate, jump) + 1e-3 * np.eye(16))
+    params = ModelParams.from_rates(1.01, 0.01, 0.6, 0.001)
+    with pytest.raises(NumericalInvariantError, match="does not annihilate the trace") as info:
+        build_liouvillian(params)
+    assert str(info.value).endswith(f"at {params.label()}")
+
+
+def test_build_rejects_a_growing_mode(monkeypatch):
+    lift = model._lift_dissipator
+    # -D[J] still annihilates the trace and keeps the orders apart, but it pumps
+    monkeypatch.setattr(model, "_lift_dissipator", lambda rate, jump: -lift(rate, jump))
+    params = ModelParams.from_rates(1.01, 0.01, 0.6, 0.001)
+    with pytest.raises(NumericalInvariantError, match="eigenvalue with positive real part") as info:
+        build_liouvillian(params)
+    assert str(info.value).endswith(f"at {params.label()}")
 
 
 def test_stacked_build_matches_the_per_value_oracle():

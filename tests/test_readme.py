@@ -1,7 +1,12 @@
-"""The README's Python examples run against the package as it is."""
+"""The README's Python examples and complete commands run against the package as it is."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from bathlink.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +19,31 @@ def test_readme_python_blocks_run():
         # pad with blank lines so a traceback points at the README's own line
         source = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
         exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+def readme_commands():
+    """Each ``bathlink`` command of the README's bash block, continuation lines joined.
+
+    Commands that elide flags with ``...`` are not complete and are left out.
+    """
+    block = re.search(r"^```bash\n(.*?)^```", README.read_text(), flags=re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines
+            if line.startswith("bathlink ") and "..." not in line]
+
+
+COMMANDS = readme_commands()
+
+
+def test_readme_has_complete_commands():
+    assert {argv[1] for argv in COMMANDS} == {
+        "simulate", "heatmap", "region", "steady-state", "witness"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[f"{k}-{argv[1]}" for k, argv in
+                                                enumerate(COMMANDS)])
+def test_readme_command_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # the commands name their output files relative to here
+    assert main(argv[1:]) == 0
+    out = argv[argv.index("--out") + 1]
+    assert (tmp_path / out).stat().st_size > 0

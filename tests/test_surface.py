@@ -12,10 +12,10 @@ PUBLIC = [
     "ConfigError", "Correlations", "DegenerateSteadyStateError", "Liouvillian", "ModelParams",
     "NumericalInvariantError", "RegionScan", "StabilityError", "SteadyStateResult",
     "Trajectory", "WitnessReport", "build_liouvillian", "discord", "dxi0_general",
-    "dxi0_quadratic", "evolve_exact", "evolve_rk", "hamiltonian", "is_entangling",
+    "dxi0_quadratic", "evolve_exact", "evolve_rk", "is_entangling",
     "kossakowski_matrix", "mutual_information", "negativity", "product_state",
     "rates_from_temperature", "region_scan", "steady_state_analytic", "steady_state_numeric",
-    "trajectory_to_csv", "validate_density_matrix", "witness_vector", "xi",
+    "trajectory_to_csv", "validate_density_matrix", "witness_vector",
 ]
 
 
