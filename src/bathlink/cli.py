@@ -31,6 +31,7 @@ from .dynamics import (
 from .errors import ConfigError, NumericalInvariantError
 from .matops import matrix_to_dict, trace_norm
 from .model import (
+    DEFAULT_ZETA,
     ModelParams,
     build_liouvillian,
     steady_state_analytic,
@@ -40,11 +41,11 @@ from .witness import (
     DEFAULT_CONFIRM_TAU,
     DEFAULT_SEED,
     DEFAULT_SPOT_CHECKS,
-    is_entangling,
+    _excess,
+    _product_state_report,
     quadratic_roots,
     region_scan,
     report_for_kappas,
-    report_for_product_state,
 )
 
 _TIME_HELP = "dimensionless time zeta*t"
@@ -60,7 +61,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
                    help="bath temperature in units of the system frequency; "
                         "alternative to explicit rates")
     g.add_argument("--zeta", type=float, default=None,
-                   help="spontaneous emission constant setting the time unit (default 1)")
+                   help="spontaneous emission constant setting the time unit "
+                        f"(default {DEFAULT_ZETA:g})")
     g.add_argument("--eta", type=float, default=None,
                    help="oscillator/qubit bath-coupling ratio (dimensionless)")
     g.add_argument("--omega", type=float, default=None,
@@ -136,7 +138,7 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
         raise ConfigError("config error: --eta is required")
     if args.omega is None:
         raise ConfigError("config error: --omega is required")
-    zeta = 1.0 if args.zeta is None else args.zeta
+    zeta = DEFAULT_ZETA if args.zeta is None else args.zeta
     if have_temp:
         return ModelParams.from_temperature(
             zeta=zeta, temperature=args.temperature, eta=args.eta, omega=args.omega
@@ -336,12 +338,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             payload["kappa1_root_interval"] = [lo, hi]
     else:
         _require(args, ["p", "q"])
-        report = report_for_product_state(
-            args.p, args.q, params, alpha=args.alpha, beta=args.beta
-        )
+        report, form = _product_state_report(args.p, args.q, params, args.alpha, args.beta)
         payload.update(report.to_dict())
-        _, excess = is_entangling(args.p, args.q, params)
-        payload["excess"] = excess
+        payload["excess"] = _excess(form, params)
         if args.roots:
             raise ConfigError("config error: --roots applies to the kappa form only")
     write_json(args.out, payload)
@@ -411,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random entangling points verified dynamically "
                             f"(default {DEFAULT_SPOT_CHECKS})")
     p_reg.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed for the spot checks (default {DEFAULT_SEED})")
+                       help="seed of the random.Random that picks the spot checks "
+                            f"(default {DEFAULT_SEED})")
     _add_output_flags(p_reg)
     p_reg.set_defaults(func=_cmd_region, parser=p_reg)
 

@@ -137,7 +137,9 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
     """
     states, single = _stack(rho)
     pt = partial_transpose_second(states)
-    eigs = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2)
+    h = pt + pt.conj().swapaxes(-1, -2)
+    h /= 2
+    eigs = np.linalg.eigvalsh(h)
     _check_spectrum(states, pt, eigs)
     value = ((np.abs(eigs) - eigs) / 2.0).sum(axis=-1)
     return float(value[0]) if single else value
@@ -151,6 +153,21 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
 SPECTRUM_TOL = 1e-12
 _IDENTITIES = (("sum of eigenvalues", "tr(rho)"), ("sum of squares", "tr(pt^2)"),
                ("sum of cubes", "tr(pt^3)"), ("product of eigenvalues", "det(pt)"))
+
+
+#: Column pairs ``(j, k)`` of the 2x2 minors, and the Laplace sign of each
+#: product of a rows (0, 1) minor with the rows (2, 3) minor on the other two
+#: columns, which sits at the reversed position.
+_MINOR_J = np.array([0, 0, 0, 1, 1, 2])
+_MINOR_K = np.array([1, 2, 3, 2, 3, 3])
+_LAPLACE_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def _det4(a: np.ndarray) -> np.ndarray:
+    """Determinants of an (N, 4, 4) stack by Laplace expansion along rows (0, 1)."""
+    top = a[:, 0, _MINOR_J] * a[:, 1, _MINOR_K] - a[:, 0, _MINOR_K] * a[:, 1, _MINOR_J]
+    bottom = a[:, 2, _MINOR_J] * a[:, 3, _MINOR_K] - a[:, 2, _MINOR_K] * a[:, 3, _MINOR_J]
+    return (top * bottom[:, ::-1]) @ _LAPLACE_SIGNS
 
 
 def _check_spectrum(states: np.ndarray, pt: np.ndarray, eigs: np.ndarray) -> None:
@@ -169,7 +186,7 @@ def _check_spectrum(states: np.ndarray, pt: np.ndarray, eigs: np.ndarray) -> Non
     """
     pt2 = pt @ pt
     traces = np.stack([np.einsum("nii->n", states), np.einsum("nii->n", pt2),
-                       np.einsum("nij,nji->n", pt2, pt), np.linalg.det(pt)], axis=-1)
+                       np.einsum("nij,nji->n", pt2, pt), _det4(pt)], axis=-1)
     squares = eigs * eigs
     sums = np.stack([eigs.sum(axis=-1), squares.sum(axis=-1), (squares * eigs).sum(axis=-1),
                      eigs.prod(axis=-1)], axis=-1)

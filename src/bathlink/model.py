@@ -62,6 +62,8 @@ _H_OSCILLATOR = kron(ID2, SIGMA_P @ SIGMA_M)
 _TRACE_ROW = vec(np.eye(4)).conj()
 
 _RATE_CONSISTENCY_TOL = 1e-9
+#: Spontaneous emission constant ``zeta`` (the time unit) when none is given.
+DEFAULT_ZETA = 1.0
 #: Generator eigenvalues below this in modulus count toward the kernel dimension.
 NULL_TOL = 1e-8
 
@@ -151,7 +153,7 @@ class ModelParams:
 
     @classmethod
     def from_rates(
-        cls, gamma1: float, gamma2: float, eta: float, omega: float, zeta: float = 1.0
+        cls, gamma1: float, gamma2: float, eta: float, omega: float, zeta: float = DEFAULT_ZETA
     ) -> "ModelParams":
         return cls(omega=omega, zeta=zeta, gamma1=gamma1, gamma2=gamma2, eta=eta)
 

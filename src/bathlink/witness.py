@@ -22,6 +22,7 @@ independent of vartheta (and of omega).  Since A, C >= 0 always, a real
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -101,12 +102,14 @@ def quadratic_coefficients(
 ) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the rate form in (alpha, beta) for the (p, q) state.
 
-    ``p`` and ``q`` may be arrays that broadcast against each other.
+    ``p`` and ``q`` may be arrays that broadcast against each other.  At very
+    large rates a coefficient may overflow to inf (or nan), silently.
     """
     g1, g2, eta = params.gamma1, params.gamma2, params.eta
-    a = 2.0 * (g2 * p**4 + (p**2 - 1.0) ** 2 * g1)
-    c = 2.0 * eta**2 * (g2 * q**4 + (q**2 - 1.0) ** 2 * g1)
-    b = -2.0 * eta * (g1 + g2) * (p**2 * (2.0 * q**2 - 1.0) - q**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = 2.0 * (g2 * p**4 + (p**2 - 1.0) ** 2 * g1)
+        c = 2.0 * eta**2 * (g2 * q**4 + (q**2 - 1.0) ** 2 * g1)
+        b = -2.0 * eta * (g1 + g2) * (p**2 * (2.0 * q**2 - 1.0) - q**2)
     return a, b, c
 
 
@@ -122,7 +125,12 @@ def dxi0_general(
     the float range raises :class:`NumericalInvariantError`.
     """
     _check_amplitudes(p, q)
-    a, b, c = quadratic_coefficients(p, q, params)
+    return _form_rate(quadratic_coefficients(p, q, params), alpha, beta)
+
+
+def _form_rate(form: tuple[float, float, float], alpha: float, beta: float) -> float:
+    """The rate form ``(A, B, C)`` at (alpha, beta), as :func:`dxi0_general` reports it."""
+    a, b, c = form
     e = _unit_exponent(max(abs(alpha), abs(beta)))
     alpha, beta = math.ldexp(alpha, e), math.ldexp(beta, e)
     try:
@@ -145,14 +153,20 @@ def is_entangling(p: float, q: float, params: ModelParams) -> tuple[bool, float]
     raises :class:`NumericalInvariantError`.
     """
     _check_amplitudes(p, q)
+    excess = _excess(quadratic_coefficients(p, q, params), params)
+    return excess > 0.0, excess
+
+
+def _excess(form: tuple[float, float, float], params: ModelParams) -> float:
+    """``B^2 - 4AC`` of the rate form ``(A, B, C)``; raises unless it is finite."""
+    a, b, c = form
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = quadratic_coefficients(p, q, params)
         excess = b * b - 4.0 * a * c
     if not np.all(np.isfinite(excess)):
         raise NumericalInvariantError(
             f"entangling excess B^2 - 4AC is not finite at {params.label()}"
         )
-    return excess > 0.0, excess
+    return excess
 
 
 @dataclass(frozen=True)
@@ -220,20 +234,28 @@ def report_for_product_state(
     otherwise the most negative rate over unit coefficient vectors (the
     smallest eigenvalue of the quadratic form) and its optimal direction.
     """
+    return _product_state_report(p, q, params, alpha, beta)[0]
+
+
+def _product_state_report(
+    p: float, q: float, params: ModelParams, alpha: float | None, beta: float | None
+) -> tuple[WitnessReport, tuple[float, float, float]]:
+    """:func:`report_for_product_state`, and the rate form ``(A, B, C)`` it evaluated."""
     if (alpha is None) != (beta is None):
         raise ConfigError("alpha and beta must be supplied together")
     _check_amplitudes(p, q)
+    form = quadratic_coefficients(p, q, params)
     if alpha is None:
-        a, b, c = quadratic_coefficients(p, q, params)
-        form = np.array([[a, b / 2.0], [b / 2.0, c]])
-        eigvals, eigvecs = np.linalg.eigh(form)
+        a, b, c = form
+        eigvals, eigvecs = np.linalg.eigh(np.array([[a, b / 2.0], [b / 2.0, c]]))
         alpha, beta = (float(x) for x in eigvecs[:, 0])
         rate = float(eigvals[0])
     else:
         _check_finite(alpha=alpha, beta=beta)
-        rate = dxi0_general(p, q, alpha, beta, params)
-    return _report(product_state(p, q), witness_vector(p, q, alpha, beta), rate,
-                   f"p={fmt(p)}, q={fmt(q)}, alpha={fmt(alpha)}, beta={fmt(beta)}")
+        rate = _form_rate(form, alpha, beta)
+    report = _report(product_state(p, q), witness_vector(p, q, alpha, beta), rate,
+                     f"p={fmt(p)}, q={fmt(q)}, alpha={fmt(alpha)}, beta={fmt(beta)}")
+    return report, form
 
 
 @dataclass(frozen=True)
@@ -310,6 +332,23 @@ def _short_time_negativities(
     return out
 
 
+def _pick(count: int, take: int, seed: int) -> list[int]:
+    """``take`` distinct indices of ``range(count)``, in the order drawn.
+
+    A partial Fisher-Yates shuffle that draws only ``random.Random(seed).random()``,
+    the stream Python keeps the same across versions.  ``moved`` holds the
+    entries of the shuffled ``range(count)`` that differ from their index.
+    """
+    rng = random.Random(seed)
+    moved: dict[int, int] = {}
+    picks = []
+    for k in range(take):
+        j = k + int(rng.random() * (count - k))
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(k, k)
+    return picks
+
+
 def region_scan(
     params: ModelParams,
     n: int,
@@ -321,9 +360,9 @@ def region_scan(
     """Classify every point of a uniform n x n grid over [-1, 1]^2.
 
     The verdicts come from one array call of :func:`is_entangling`.  For
-    ``spot_checks`` randomly chosen entangling grid points the state is
-    evolved to ``confirm_tau`` and must show strictly positive negativity;
-    a contradiction raises.  With ``confirm_dynamics`` the short-time
+    ``spot_checks`` entangling grid points, picked by ``random.Random(seed)``,
+    the state is evolved to ``confirm_tau`` and must show strictly positive
+    negativity; a contradiction raises.  With ``confirm_dynamics`` the short-time
     negativity is computed for every grid point and returned as a column.
     ``confirm_tau`` must be finite and > 0: backward propagation leaves the
     state space; ``spot_checks`` and ``seed`` must be >= 0.
@@ -343,9 +382,7 @@ def region_scan(
     checks: list[dict] = []
     flagged = np.argwhere(entangling)
     if spot_checks > 0 and flagged.size > 0:
-        rng = np.random.default_rng(seed)
-        take = min(spot_checks, flagged.shape[0])
-        i, j = flagged[rng.choice(flagged.shape[0], size=take, replace=False)].T
+        i, j = flagged[_pick(flagged.shape[0], min(spot_checks, flagged.shape[0]), seed)].T
         negs = _short_time_negativities(liou, axis[i], axis[j], confirm_tau)
         for p, q, neg in zip(axis[i], axis[j], negs):
             if neg <= 0.0:

@@ -130,6 +130,19 @@ def test_partial_transpose_determinant_is_negative_exactly_when_entangled(name, 
     assert np.array_equal(det[clear] < 0.0, least[clear] < 0.0)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_minor_expansion_determinant_matches_lu(rank):
+    from bathlink.correlations import _det4
+
+    rng = np.random.default_rng(1500 + rank)
+    a = rng.normal(size=(200, 4, rank)) + 1j * rng.normal(size=(200, 4, rank))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    for m in (rho, partial_transpose_second(rho)):
+        s = np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
+        assert (np.abs(_det4(m) - np.linalg.det(m)) <= 1e-13 * s**4).all()
+
+
 def test_spectrum_check_rejects_two_negative_eigenvalues(monkeypatch):
     # a Hermitian stand-in for the partial transpose, with the state's trace,
     # whose spectrum no two-qubit partial transpose can have

@@ -266,6 +266,13 @@ def test_region_scan_spot_checks_record_positive_negativity(canonical_params):
         assert check["negativity"] > 1e-10
 
 
+def test_region_scan_spot_check_picks_are_pinned(canonical_params):
+    # random.Random(seed).random() is the stream Python keeps across versions
+    scan = region_scan(canonical_params, n=11, spot_checks=3, seed=0)
+    assert [(c["p"], c["q"]) for c in scan.spot_checks] == [
+        (1.0, -0.6000000000000001), (0.8, 0.6000000000000001), (-0.20000000000000007, -1.0)]
+
+
 def test_region_scan_confirm_dynamics_matches_verdicts(canonical_params):
     scan = region_scan(canonical_params, n=9, confirm_dynamics=True, spot_checks=0)
     dyn = scan.confirm_negativity > 1e-10
