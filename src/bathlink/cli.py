@@ -349,7 +349,101 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- main
 
-def build_parser() -> argparse.ArgumentParser:
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=float, default=None, help="qubit amplitude of |0> in [-1, 1]")
+    p.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0> in [-1, 1]")
+    p.add_argument("--t-max", type=float, default=None, help=f"end time ({_TIME_HELP})")
+    p.add_argument("--samples", type=int, default=None,
+                   help=f"uniform sampling intervals (default {DEFAULT_SAMPLES}; "
+                        "emits samples+1 rows)")
+    p.add_argument("--method", choices=["exact", "rk4"], default=None,
+                   help="propagator: exact exponential (default) or fixed-step RK4")
+    p.add_argument("--steps", type=int, default=None,
+                   help="RK4 step count (rk4 only; default 1000 per unit time)")
+    p.add_argument("--states-out", default=None,
+                   help="also write the raw state trajectory CSV here")
+    _add_output_flags(p)
+
+
+def _heatmap_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--observable", choices=["negativity", "mutual_info", "discord"],
+                   default=None, help="observable to tabulate")
+    p.add_argument("--axis", choices=["eta", "temperature"], default=None,
+                   help="swept parameter")
+    p.add_argument("--axis-min", type=float, default=None, help="sweep start")
+    p.add_argument("--axis-max", type=float, default=None, help="sweep end")
+    p.add_argument("--axis-steps", type=int, default=None, help="sweep point count")
+    p.add_argument("--axis-values", default=None,
+                   help="explicit comma-separated sweep values (excludes min/max/steps)")
+    p.add_argument("--p", type=float, default=None, help="qubit amplitude of |0>")
+    p.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0>")
+    p.add_argument("--t-max", type=float, default=None, help=f"end time ({_TIME_HELP})")
+    p.add_argument("--samples", type=int, default=None,
+                   help=f"uniform sampling intervals per sweep value (default {DEFAULT_SAMPLES})")
+    _add_output_flags(p)
+
+
+def _region_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, default=None, help="grid resolution per axis (>= 2)")
+    p.add_argument("--confirm-dynamics", action="store_true", default=False,
+                   help="add a short-time negativity column for every point")
+    p.add_argument("--tau", type=float, default=None,
+                   help=f"confirmation time (default {DEFAULT_CONFIRM_TAU:g}, {_TIME_HELP})")
+    p.add_argument("--spot-checks", type=int, default=None,
+                   help="random entangling points verified dynamically "
+                        f"(default {DEFAULT_SPOT_CHECKS})")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random.Random that picks the spot checks "
+                        f"(default {DEFAULT_SEED})")
+    _add_output_flags(p)
+
+
+def _steady_state_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=["both", "analytic", "numeric"], default=None,
+                   help="which steady states to compute (default both)")
+    _add_output_flags(p, formats=("json",))
+
+
+def _witness_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kappa1", type=float, default=None,
+                   help="|00> coefficient of the witness direction")
+    p.add_argument("--kappa2", type=float, default=None,
+                   help="|10> coefficient (does not affect the rate; default 0)")
+    p.add_argument("--kappa3", type=float, default=None,
+                   help="|11> coefficient of the witness direction")
+    p.add_argument("--p", type=float, default=None, help="qubit amplitude of |0>")
+    p.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0>")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="first direction coefficient for the (p, q) form")
+    p.add_argument("--beta", type=float, default=None,
+                   help="second direction coefficient for the (p, q) form")
+    p.add_argument("--roots", action="store_true", default=False,
+                   help="include the kappa1 root interval of the rate quadratic")
+    _add_output_flags(p, formats=("json",))
+
+
+#: Each subcommand: its help line, the function that adds its flags besides
+#: the model parameters, and its body.
+_COMMANDS = {
+    "simulate": ("evolve one initial product state and emit per-sample correlation measures",
+                 _simulate_flags, _cmd_simulate),
+    "heatmap": ("observable on a (time x eta) or (time x temperature) grid",
+                _heatmap_flags, _cmd_heatmap),
+    "region": ("entangling verdict over a (p, q) grid", _region_flags, _cmd_region),
+    "steady-state": ("analytic and numeric steady states with residuals (JSON)",
+                     _steady_state_flags, _cmd_steady_state),
+    "witness": ("short-time entanglement witness report (JSON)", _witness_flags, _cmd_witness),
+}
+
+
+def build_parser(command: str | None = None, /) -> argparse.ArgumentParser:
+    """The ``bathlink`` parser, every subcommand registered with its help line.
+
+    Only ``command``'s flags are added when it names a subcommand, every
+    subcommand's otherwise.  The top-level parser has no option besides
+    ``-h``, so a command line whose first word names a subcommand parses
+    alike either way.
+    """
     parser = argparse.ArgumentParser(
         prog="bathlink",
         description="Qubit-oscillator pair in a common thermal bath: dynamics, "
@@ -357,97 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "dimensionless zeta*t.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="evolve one initial product state and "
-                                            "emit per-sample correlation measures")
-    _add_param_flags(p_sim)
-    p_sim.add_argument("--p", type=float, default=None,
-                       help="qubit amplitude of |0> in [-1, 1]")
-    p_sim.add_argument("--q", type=float, default=None,
-                       help="oscillator amplitude of |0> in [-1, 1]")
-    p_sim.add_argument("--t-max", type=float, default=None, help=f"end time ({_TIME_HELP})")
-    p_sim.add_argument("--samples", type=int, default=None,
-                       help=f"uniform sampling intervals (default {DEFAULT_SAMPLES}; "
-                            "emits samples+1 rows)")
-    p_sim.add_argument("--method", choices=["exact", "rk4"], default=None,
-                       help="propagator: exact exponential (default) or fixed-step RK4")
-    p_sim.add_argument("--steps", type=int, default=None,
-                       help="RK4 step count (rk4 only; default 1000 per unit time)")
-    p_sim.add_argument("--states-out", default=None,
-                       help="also write the raw state trajectory CSV here")
-    _add_output_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
-
-    p_heat = sub.add_parser("heatmap", help="observable on a (time x eta) or "
-                                            "(time x temperature) grid")
-    _add_param_flags(p_heat)
-    p_heat.add_argument("--observable", choices=["negativity", "mutual_info", "discord"],
-                        default=None, help="observable to tabulate")
-    p_heat.add_argument("--axis", choices=["eta", "temperature"], default=None,
-                        help="swept parameter")
-    p_heat.add_argument("--axis-min", type=float, default=None, help="sweep start")
-    p_heat.add_argument("--axis-max", type=float, default=None, help="sweep end")
-    p_heat.add_argument("--axis-steps", type=int, default=None, help="sweep point count")
-    p_heat.add_argument("--axis-values", default=None,
-                        help="explicit comma-separated sweep values (excludes min/max/steps)")
-    p_heat.add_argument("--p", type=float, default=None, help="qubit amplitude of |0>")
-    p_heat.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0>")
-    p_heat.add_argument("--t-max", type=float, default=None, help=f"end time ({_TIME_HELP})")
-    p_heat.add_argument("--samples", type=int, default=None,
-                        help="uniform sampling intervals per sweep value "
-                             f"(default {DEFAULT_SAMPLES})")
-    _add_output_flags(p_heat)
-    p_heat.set_defaults(func=_cmd_heatmap, parser=p_heat)
-
-    p_reg = sub.add_parser("region", help="entangling verdict over a (p, q) grid")
-    _add_param_flags(p_reg)
-    p_reg.add_argument("--n", type=int, default=None, help="grid resolution per axis (>= 2)")
-    p_reg.add_argument("--confirm-dynamics", action="store_true", default=False,
-                       help="add a short-time negativity column for every point")
-    p_reg.add_argument("--tau", type=float, default=None,
-                       help=f"confirmation time (default {DEFAULT_CONFIRM_TAU:g}, {_TIME_HELP})")
-    p_reg.add_argument("--spot-checks", type=int, default=None,
-                       help="random entangling points verified dynamically "
-                            f"(default {DEFAULT_SPOT_CHECKS})")
-    p_reg.add_argument("--seed", type=int, default=None,
-                       help="seed of the random.Random that picks the spot checks "
-                            f"(default {DEFAULT_SEED})")
-    _add_output_flags(p_reg)
-    p_reg.set_defaults(func=_cmd_region, parser=p_reg)
-
-    p_ss = sub.add_parser("steady-state", help="analytic and numeric steady states "
-                                               "with residuals (JSON)")
-    _add_param_flags(p_ss)
-    p_ss.add_argument("--mode", choices=["both", "analytic", "numeric"], default=None,
-                      help="which steady states to compute (default both)")
-    _add_output_flags(p_ss, formats=("json",))
-    p_ss.set_defaults(func=_cmd_steady_state, parser=p_ss)
-
-    p_wit = sub.add_parser("witness", help="short-time entanglement witness report (JSON)")
-    _add_param_flags(p_wit)
-    p_wit.add_argument("--kappa1", type=float, default=None,
-                       help="|00> coefficient of the witness direction")
-    p_wit.add_argument("--kappa2", type=float, default=None,
-                       help="|10> coefficient (does not affect the rate; default 0)")
-    p_wit.add_argument("--kappa3", type=float, default=None,
-                       help="|11> coefficient of the witness direction")
-    p_wit.add_argument("--p", type=float, default=None, help="qubit amplitude of |0>")
-    p_wit.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0>")
-    p_wit.add_argument("--alpha", type=float, default=None,
-                       help="first direction coefficient for the (p, q) form")
-    p_wit.add_argument("--beta", type=float, default=None,
-                       help="second direction coefficient for the (p, q) form")
-    p_wit.add_argument("--roots", action="store_true", default=False,
-                       help="include the kappa1 root interval of the rate quadratic")
-    _add_output_flags(p_wit, formats=("json",))
-    p_wit.set_defaults(func=_cmd_witness, parser=p_wit)
-
+    for name, (help_line, add_flags, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command not in _COMMANDS or command == name:
+            _add_param_flags(p)
+            add_flags(p)
+        p.set_defaults(func=run, parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _merge_config(args, args.parser)
         return args.func(args)

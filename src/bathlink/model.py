@@ -64,8 +64,10 @@ _TRACE_ROW = vec(np.eye(4)).conj()
 _RATE_CONSISTENCY_TOL = 1e-9
 #: Spontaneous emission constant ``zeta`` (the time unit) when none is given.
 DEFAULT_ZETA = 1.0
-#: Generator eigenvalues below this in modulus count toward the kernel dimension.
-NULL_TOL = 1e-8
+#: Generator eigenvalues below this times the largest entry modulus of the
+#: generator count toward the kernel dimension: rounding level, so the count
+#: does not depend on the scale of the rates.
+NULL_RTOL = 64 * np.finfo(float).eps
 
 #: Coherence order ``n_i - n_j`` of vec index ``i + 4 j``, excitations n = (0, 1, 1, 2).
 #: Collective raising and lowering conserve it (weak U(1) symmetry; Buca &
@@ -343,17 +345,19 @@ def steady_state_numeric(
 ) -> SteadyStateResult:
     """Steady state from the eigenvector of the eigenvalue nearest zero.
 
-    ``null_space_dim`` counts generator eigenvalues with ``|lambda| < NULL_TOL``.
+    ``null_space_dim`` counts generator eigenvalues with ``|lambda|`` below
+    ``NULL_RTOL`` times the largest ``|S_ij|`` of the generator ``S``.
     When it differs from one the steady manifold is degenerate and the
     returned state is an arbitrary element of it; with ``require_unique``
     (the default) that situation raises instead of silently picking one.
     """
     w, v = np.linalg.eig(liouvillian.superop)
     order = np.argsort(np.abs(w))
-    dim = int(np.sum(np.abs(w) < NULL_TOL))
+    null_tol = NULL_RTOL * np.abs(liouvillian.superop).max()
+    dim = int(np.sum(np.abs(w) < null_tol))
     if require_unique and dim != 1:
         raise DegenerateSteadyStateError(
-            f"steady manifold has dimension {dim} (eigenvalues within {NULL_TOL:g} "
+            f"steady manifold has dimension {dim} (eigenvalues within {null_tol:.3g} "
             "of zero); pass require_unique=False to inspect it"
         )
     candidate = unvec(v[:, order[0]])

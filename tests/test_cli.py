@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -507,6 +508,13 @@ def test_steady_state_zero_gamma2(tmp_path, capsys):
     assert "analytic" not in payload
 
 
+@pytest.mark.parametrize("eta", ["1e-4", "0.9995", "0.9999"])
+def test_steady_state_reports_a_one_dimensional_kernel_near_the_ends_of_eta(tmp_path, eta):
+    out = tmp_path / "ss.json"
+    assert main(["steady-state", *CANON, "--eta", eta, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["null_space_dim"] == 1
+
+
 def test_steady_state_equal_rates(tmp_path):
     out = tmp_path / "ss3.json"
     assert main(["steady-state", "--gamma1", "0.5", "--gamma2", "0.5",
@@ -823,3 +831,63 @@ def test_json_only_commands_reject_csv(tmp_path, capsys):
                  "--kappa3", "1", "--config", str(cfg),
                  "--out", str(tmp_path / "w.json")]) == 2
     assert "'format' must be one of json, got 'csv'" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ CLI surface
+
+COMMANDS = ["simulate", "heatmap", "region", "steady-state", "witness"]
+SIMULATE = ["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0", "--t-max", "1"]
+# argv, exit code and a phrase of the message each invocation prints
+SURFACE = {
+    "help": (["--help"], 0, "usage: bathlink"),
+    **{f"help_{c}": ([c, "--help"], 0, f"usage: bathlink {c}") for c in COMMANDS},
+    "no_arguments": ([], 2, "the following arguments are required: command"),
+    "unknown_command": (["bogus"], 2, "invalid choice"),
+    "unknown_flag": ([*SIMULATE, "--out", "{out}", "--bogus", "1"], 2,
+                     "unrecognized arguments: --bogus 1"),
+    "foreign_config_key": ([*SIMULATE, "--out", "{out}", "--config", "{config}"], 2,
+                           "unknown config key 'observable'"),
+}
+
+
+def _surface_run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on --help and on bad flags
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", SURFACE)
+def test_cli_surface_matches_the_parser_with_every_subcommand_built(name, tmp_path, capsys,
+                                                                    monkeypatch):
+    import bathlink.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "heatmap_key.json"
+    config.write_text(json.dumps({"observable": "negativity"}))  # a heatmap flag
+    template, code, phrase = SURFACE[name]
+    argv = [a.format(out=tmp_path / "x.csv", config=config) for a in template]
+    got = _surface_run(argv, capsys)
+    assert got[0] == code
+    assert phrase in got[1] + got[2]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *_: full())
+    assert _surface_run(argv, capsys) == got
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_only_the_invoked_subcommand_gets_its_flags():
+    from bathlink.cli import build_parser
+
+    def flags(parser):
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return {name: len(p._actions) for name, p in sub.choices.items()}
+
+    every = flags(build_parser())
+    assert sorted(every) == sorted(COMMANDS) and min(every.values()) > 1
+    for command in COMMANDS:
+        assert flags(build_parser(command)) == {
+            name: every[name] if name == command else 1 for name in COMMANDS}  # only -h
+    assert flags(build_parser("bogus")) == every

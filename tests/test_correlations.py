@@ -537,3 +537,177 @@ def test_stack_equals_one_call_per_state():
         assert column.tobytes() == np.array(values).tobytes(), field.name
     assert list(negativity(states)) == [negativity(rho) for rho in states]
     assert list(mutual_information(states)) == [mutual_information(rho) for rho in states]
+
+
+# ----------------------------------------------------- tolerance edges
+
+def test_entropy_trace_tolerance_edges():
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    mutual_information(rho * (1.0 + 1e-7))  # within ENTROPY_TRACE_TOL = 1e-6
+    with pytest.raises(ConfigError, match="entropy input has trace 1.00001"):
+        mutual_information(rho * (1.0 + 1e-5))
+
+
+def _rare_outcome_state(q_state):
+    """``(1 - eps) q_state (x) |0><0| + eps (1/2) (x) |1><1|`` with ``eps = 1e-10``.
+
+    Classical on HO, so measuring HO along z is optimal; its |1> outcome has
+    probability 1e-10, between the outcome floor 1e-12 and 1e-9, and leaves
+    Q maximally mixed, so it adds 1e-10 bits to the conditional entropy.
+    """
+    eps = 1e-10
+    return (kron((1.0 - eps) * q_state, np.diag([1.0, 0.0]))
+            + kron(eps * np.eye(2) / 2.0, np.diag([0.0, 1.0]))).astype(complex)
+
+
+@pytest.mark.parametrize("q_state", [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)],
+                         ids=["x_shaped", "general"])
+def test_discord_counts_outcomes_just_above_the_probability_floor(q_state):
+    rho = _rare_outcome_state(q_state)
+    ref_discord, ref_classical = reference_discord(rho)
+    result = discord(rho)
+    assert abs(result.classical_corr - ref_classical) <= 1e-12
+    assert abs(result.discord - ref_discord) <= 1e-12
+
+
+# ------------------------------------------------------ X-state route
+
+def _random_x_states(count):
+    """X states with random diagonals and complex <00|rho|11>, <01|rho|10> inside the PSD bounds."""
+    rng = np.random.default_rng(1700)
+    diag = rng.dirichlet(np.ones(4), size=count)
+    phases = np.exp(2j * math.pi * rng.uniform(size=(count, 2)))
+    fractions = rng.uniform(size=(count, 2))
+    rho = np.zeros((count, 4, 4), dtype=complex)
+    rho[:, [0, 1, 2, 3], [0, 1, 2, 3]] = diag
+    rho[:, 0, 3] = fractions[:, 0] * np.sqrt(diag[:, 0] * diag[:, 3]) * phases[:, 0]
+    rho[:, 1, 2] = fractions[:, 1] * np.sqrt(diag[:, 1] * diag[:, 2]) * phases[:, 1]
+    return rho + np.triu(rho, 1).conj().swapaxes(-1, -2)
+
+
+def _x_route_states(kind):
+    if kind == "werner":
+        return np.array([werner(w) for w in np.linspace(0.0, 1.0, 11)])
+    if kind == "bell_diagonal":
+        rng = np.random.default_rng(1800)
+        return np.array([bell_diagonal(rng.dirichlet(np.ones(4))) for _ in range(20)])
+    if kind == "random_x":
+        return _random_x_states(40)
+    if kind == "two_minima":
+        # minima at the pole and on the equator, 2e-6 bits apart
+        return _x_state([0.2462, 0.5031, 0.2504, 0.0003], 0.00106, 0.2987235040823088)[None]
+    # optimum at theta* = 0.60, 0.67 and 0.62: neither pole nor equator
+    return np.array([_x_state([0.0005, 0.0111, 0.9409, 0.0475], -0.0034, -0.0756),
+                     _x_state([0.8099, 0.0653, 0.0086, 0.1162], -0.2498, -0.017),
+                     _x_state([0.0605, 0.8881, 0.0439, 0.0075], 0.0208, -0.137)])
+
+
+X_ROUTE_KINDS = ["werner", "bell_diagonal", "random_x", "two_minima", "interior"]
+
+
+@pytest.mark.parametrize("route", ["x_shaped", "general"])
+@pytest.mark.parametrize("kind", X_ROUTE_KINDS)
+def test_both_routes_meet_the_oracles_on_x_states(kind, route, monkeypatch, caplog):
+    import bathlink.correlations as corr
+
+    states = _x_route_states(kind)
+    assert corr._is_x_shaped(states).all()
+    if route == "general":
+        monkeypatch.setattr(corr, "_is_x_shaped", lambda s: np.zeros(len(s), dtype=bool))
+    with caplog.at_level(logging.WARNING, logger="bathlink.correlations"):
+        result = discord(states)
+    assert caplog.records == []
+    thetas = np.linspace(0.0, math.pi, 64)
+    phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    grid = conditional_entropy_grid(states, thetas, phis).min(axis=(1, 2))
+    for k, rho in enumerate(states):
+        if kind in ("werner", "bell_diagonal"):
+            assert abs(result.discord[k] - bell_diagonal_discord(rho)) <= 1e-12
+        ref_discord, ref_classical = reference_discord(rho)
+        assert abs(result.discord[k] - ref_discord) <= 1e-12
+        assert abs(result.classical_corr[k] - ref_classical) <= 1e-12
+        s_q = entropy_bits(partial_trace(rho, "first"))
+        assert result.classical_corr[k] >= s_q - grid[k] - 1e-12
+        # the reported axis attains the reported optimum
+        attained = conditional_entropy(rho, result.theta[k], result.phi[k])
+        assert abs(s_q - attained - result.classical_corr[k]) <= 1e-12
+        assert 0.0 <= result.theta[k] <= math.pi / 2
+        assert 0.0 <= result.phi[k] < 2 * math.pi
+
+
+def test_x_scan_includes_the_sphere_scan_thetas():
+    import bathlink.correlations as corr
+
+    # so on an X state the route never loses to the 9 x 16 scan
+    assert np.isin(corr.SCAN_THETAS, corr._X_SCAN_THETAS).all()
+    states = _random_x_states(40)
+    scan = conditional_entropy_grid(states, corr.SCAN_THETAS, corr.SCAN_PHIS).min(axis=(1, 2))
+    s_q = entropy_bits(np.array([partial_trace(rho, "first") for rho in states]))
+    assert (discord(states).classical_corr >= s_q - scan - 1e-15).all()
+
+
+def _grid_calls(monkeypatch):
+    """Record the number of states each call of the sphere route's scan receives."""
+    import bathlink.correlations as corr
+
+    calls = []
+    scan = corr.conditional_entropy_grid
+
+    def record(states, thetas, phis):
+        calls.append(len(states))
+        return scan(states, thetas, phis)
+
+    monkeypatch.setattr(corr, "conditional_entropy_grid", record)
+    return calls
+
+
+def test_only_exactly_x_shaped_states_take_the_x_route(monkeypatch):
+    calls = _grid_calls(monkeypatch)
+    x_states = _random_x_states(4)
+    discord(x_states)
+    assert calls == []
+    nearly = x_states[0].copy()
+    nearly[0, 1] = nearly[1, 0] = 1e-300
+    rotation = kron(np.eye(2), random_unitary(np.random.default_rng(1900)))
+    rotated = rotation @ x_states[1] @ rotation.conj().T
+    result = discord(np.array([nearly, rotated, x_states[2]]))
+    assert calls == [2]
+    # the general route finds the same optimum: discord is invariant under
+    # a unitary on the measured side
+    x_result = discord(x_states)
+    assert abs(result.discord[0] - x_result.discord[0]) <= 1e-12
+    assert abs(result.discord[1] - x_result.discord[1]) <= 1e-12
+    assert result.discord[2] == x_result.discord[2]
+
+
+def test_both_routes_report_unconverged_searches_in_one_warning(monkeypatch, caplog):
+    import bathlink.correlations as corr
+
+    monkeypatch.setattr(corr, "NEWTON_STEPS", 1)
+    states = np.concatenate([_x_route_states("interior"), _exact_trajectory(1.0, 0.6, -0.4)[40:]])
+    assert corr._is_x_shaped(states).tolist() == [True] * 3 + [False] * 11
+    calls = []
+    for search in ("_x_searches", "_sphere_searches"):
+        def record(part, search=getattr(corr, search)):
+            found = search(part)
+            calls.append(len(found[3]))  # searches still gaining
+            return found
+        monkeypatch.setattr(corr, search, record)
+    with caplog.at_level(logging.WARNING, logger="bathlink.correlations"):
+        discord(states)
+    [record] = caplog.records
+    assert all(calls) and len(calls) == 2
+    count = re.search(r"(\d+) of 14 states reached 1 Newton iterations unconverged",
+                      record.getMessage())
+    assert count and int(count.group(1)) >= 2
+
+
+def test_mixed_stack_equals_one_call_per_state():
+    rng = np.random.default_rng(2000)
+    states = np.concatenate([_random_x_states(5), [random_density(rng) for _ in range(5)]])
+    states = states[rng.permutation(len(states))]
+    stacked = discord(states)
+    singles = [discord(rho) for rho in states]
+    for field in dataclasses.fields(stacked):
+        values = np.array([getattr(single, field.name) for single in singles])
+        assert getattr(stacked, field.name).tobytes() == values.tobytes(), field.name

@@ -427,3 +427,23 @@ def test_steady_state_numeric_decoupled_oscillator_is_degenerate():
     result = steady_state_numeric(build_liouvillian(p), require_unique=False)
     assert result.null_space_dim == 2
     assert result.residual_max < 1e-10
+
+
+@pytest.mark.parametrize("eta", [1e-4, 0.9995, 0.9999, 0.99999])
+def test_kernel_is_one_dimensional_near_both_ends_of_eta(eta):
+    # the slowest nonzero rates are 7.9e-10, 1.0e-8, 4.0e-10 and 4.0e-12 here:
+    # slow, but above the rounding-level threshold (5.7e-14), so the steady
+    # state is unique
+    params = ModelParams.from_rates(1.01, 0.01, eta, 0.001)
+    result = steady_state_numeric(build_liouvillian(params))
+    assert result.null_space_dim == 1
+    assert result.residual_max < 1e-10
+
+
+@pytest.mark.parametrize("eta, dim", [(0.0, 2), (0.5, 1), (0.9999, 1), (1.0, 2)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_kernel_dimension_does_not_depend_on_the_rate_scale(eta, dim, scale):
+    # every rate and the frequency scaled alike scale the whole spectrum
+    params = ModelParams.from_rates(1.01 * scale, 0.01 * scale, eta, 0.001 * scale)
+    result = steady_state_numeric(build_liouvillian(params), require_unique=False)
+    assert result.null_space_dim == dim
