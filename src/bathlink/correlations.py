@@ -65,7 +65,7 @@ from ._kernels import (
     x_state_terms,
 )
 from .errors import ConfigError, NumericalInvariantError
-from .matops import partial_trace, partial_transpose_second
+from .matops import _COHERENCE_ORDER, partial_trace, partial_transpose_second
 
 #: Largest trace deviation an entropy input may have.
 ENTROPY_TRACE_TOL = 1e-6
@@ -133,9 +133,8 @@ _X_SCAN_THETAS = np.linspace(0.0, math.pi / 2.0, 4 * (SCAN_THETAS.size - 1) + 1)
 _X_INDEX = np.arange(_X_SCAN_THETAS.size)
 _X_SCAN_NEIGHBOURS = np.stack([np.abs(_X_INDEX - 1), _X_INDEX,
                                np.minimum(_X_INDEX + 1, 2 * _X_INDEX[-1] - _X_INDEX - 1)], axis=-1)
-#: Entries of coherence order +-1 (excitations 0, 1, 1, 2 on |00>, |01>, |10>, |11>);
-#: a state with all eight exactly 0.0 is X-shaped.
-_ORDER_ONE = np.abs(np.subtract.outer([0, 1, 1, 2], [0, 1, 1, 2])) == 1
+#: Entries of coherence order +-1; a state with all eight exactly 0.0 is X-shaped.
+_ORDER_ONE = np.abs(_COHERENCE_ORDER) == 1
 
 log = logging.getLogger(__name__)
 
@@ -478,7 +477,7 @@ def _minimize_conditional_entropy(states: np.ndarray):
         log.warning(
             "discord: %d of %d states reached %d Newton iterations unconverged "
             "(worst final step %.3g)",
-            np.unique(stalled).size, n, NEWTON_STEPS, np.concatenate(moves).max(),
+            np.count_nonzero(np.bincount(stalled)), n, NEWTON_STEPS, np.concatenate(moves).max(),
         )
     rows = np.arange(n)
     k = np.argmin(value, axis=1)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSteadyStateError, NumericalInvariantError
 from .matops import (
+    _COHERENCE_ORDER,
     ID2,
     SIGMA_M,
     SIGMA_P,
@@ -69,10 +70,10 @@ DEFAULT_ZETA = 1.0
 #: does not depend on the scale of the rates.
 NULL_RTOL = 64 * np.finfo(float).eps
 
-#: Coherence order ``n_i - n_j`` of vec index ``i + 4 j``, excitations n = (0, 1, 1, 2).
+#: Coherence order of vec index ``i + 4 j`` (entry (i, j), see ``matops``).
 #: Collective raising and lowering conserve it (weak U(1) symmetry; Buca &
 #: Prosen, NJP 14, 073007 (2012)), so the generator is block diagonal in it.
-_ORDER = np.subtract.outer([0, 1, 1, 2], [0, 1, 1, 2]).ravel(order="F")
+_ORDER = _COHERENCE_ORDER.ravel(order="F")
 _CROSS_ORDER = _ORDER[:, None] != _ORDER[None, :]
 
 

@@ -32,7 +32,7 @@ from .correlations import negativity
 from .dynamics import _check_amplitudes, _sample, product_state
 from .errors import ConfigError, NumericalInvariantError
 from .matops import matrix_exp, partial_transpose_second
-from .model import Liouvillian, ModelParams, build_liouvillian
+from .model import ModelParams, build_liouvillian
 
 
 def witness_vector(
@@ -316,15 +316,12 @@ def _symmetric_axis(n: int) -> np.ndarray:
     return (axis - axis[::-1]) / 2.0
 
 
-def _short_time_negativities(
-    liouvillian: Liouvillian, p: np.ndarray, q: np.ndarray, tau: float
-) -> np.ndarray:
-    """Negativity at time tau from the product states of the (p, q) arrays (one expm).
+def _short_time_negativities(step: list[np.ndarray], p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Negativity after ``step = [exp(tau S)]`` from the product states of the (p, q) arrays.
 
     The states are built, propagated and measured ``_CONFIRM_BLOCK`` at a
     time, as stacks, through :func:`product_state` and the sampling loop.
     """
-    step = [matrix_exp(liouvillian.superop, tau)]
     out = np.empty(p.size)
     for start in range(0, p.size, _CONFIRM_BLOCK):
         rho0 = product_state(p[start:start + _CONFIRM_BLOCK], q[start:start + _CONFIRM_BLOCK])
@@ -379,23 +376,23 @@ def region_scan(
     entangling, excess = is_entangling(axis[:, None], axis[None, :], params)
 
     liou = build_liouvillian(params)
-    checks: list[dict] = []
     flagged = np.argwhere(entangling)
-    if spot_checks > 0 and flagged.size > 0:
-        i, j = flagged[_pick(flagged.shape[0], min(spot_checks, flagged.shape[0]), seed)].T
-        negs = _short_time_negativities(liou, axis[i], axis[j], confirm_tau)
-        for p, q, neg in zip(axis[i], axis[j], negs):
-            if neg <= 0.0:
-                raise NumericalInvariantError(
-                    f"point ({p:g}, {q:g}) is flagged entangling but shows no "
-                    f"negativity at t={confirm_tau:g}"
-                )
-            checks.append({"p": float(p), "q": float(q), "negativity": float(neg)})
+    i, j = flagged[_pick(flagged.shape[0], min(spot_checks, flagged.shape[0]), seed)].T
+    # exp(tau S), built once for the spot checks and the confirmation column
+    step = [matrix_exp(liou.superop, confirm_tau)] if i.size or confirm_dynamics else []
+    checks: list[dict] = []
+    for p, q, neg in zip(axis[i], axis[j], _short_time_negativities(step, axis[i], axis[j])):
+        if neg <= 0.0:
+            raise NumericalInvariantError(
+                f"point ({p:g}, {q:g}) is flagged entangling but shows no "
+                f"negativity at t={confirm_tau:g}"
+            )
+        checks.append({"p": float(p), "q": float(q), "negativity": float(neg)})
 
     confirm = None
     if confirm_dynamics:
         p, q = np.meshgrid(axis, axis, indexing="ij")
-        confirm = _short_time_negativities(liou, p.ravel(), q.ravel(), confirm_tau).reshape(n, n)
+        confirm = _short_time_negativities(step, p.ravel(), q.ravel()).reshape(n, n)
 
     return RegionScan(
         p_values=axis,

@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
+import json
 import logging
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -523,6 +526,31 @@ def test_discord_logs_searches_left_unconverged(monkeypatch, caplog):
         scan = conditional_entropy_grid(rho[None], corr.SCAN_THETAS, corr.SCAN_PHIS).min()
         s_q = entropy_bits(partial_trace(rho, "first"))
         assert classical >= s_q - scan
+
+
+def test_unconverged_warning_loads_no_numpy_ma():
+    # np.unique imports numpy.ma, about 11 ms inside a CLI run that logs the WARNING
+    code = ("import json, logging, sys\n"
+            "import numpy as np\n"
+            "import bathlink.correlations as corr\n"
+            "from bathlink.dynamics import evolve_exact, product_state\n"
+            "from bathlink.model import ModelParams, build_liouvillian\n"
+            "params = ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=1.0, omega=0.001)\n"
+            "states = evolve_exact(build_liouvillian(params), product_state(0.6, -0.4),\n"
+            "                      np.linspace(0.0, 6.0, 51)).states[40:]\n"
+            "logging.basicConfig(format='%(levelname)s %(message)s')\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "corr.NEWTON_STEPS = 1\n"
+            "corr.discord(states)\n"
+            "print(json.dumps([eager, 'numpy.ma' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert re.search(r"^WARNING discord: \d+ of 11 states reached 1 Newton iterations unconverged",
+                     result.stderr, re.MULTILINE), result.stderr
+    eager, loaded = json.loads(result.stdout)
+    if eager:
+        pytest.skip("this numpy imports numpy.ma together with numpy")
+    assert not loaded
 
 
 def test_stack_equals_one_call_per_state():

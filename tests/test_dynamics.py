@@ -296,6 +296,16 @@ def test_validate_raises_below_psd_tol_within_the_hermiticity_tolerance():
         validate_density_matrix(stack)
 
 
+def test_validate_holds_hermiticity_to_1e_10():
+    # absolute deviations, so a looser HERM_TOL fails here
+    state = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    state[0, 1] = 5e-11
+    validate_density_matrix(state)
+    state[0, 1] = 5e-10
+    with pytest.raises(NumericalInvariantError, match=r"^state: Hermiticity deviation 5\.000e-10$"):
+        validate_density_matrix(state)
+
+
 def test_validate_stack_reports_first_bad_state():
     states = np.repeat(product_state(1.0, 0.0)[None], 4, axis=0)
     states[1, 0, 1] = 1e-6  # not Hermitian

@@ -95,6 +95,13 @@ def test_params_reject_inconsistent_temperature():
         ModelParams(omega=1.0, zeta=1.0, gamma1=5.0, gamma2=1.0, eta=1.0, temperature=1.0)
 
 
+def test_params_reject_rates_off_the_temperature_by_1e_8():
+    g1, g2 = rates_from_temperature(1.0, 0.5)
+    ModelParams(omega=1.0, zeta=1.0, gamma1=g1, gamma2=g2, eta=1.0, temperature=0.5)
+    with pytest.raises(ConfigError, match="inconsistent with temperature"):
+        ModelParams(omega=1.0, zeta=1.0, gamma1=g1 + 1e-8, gamma2=g2, eta=1.0, temperature=0.5)
+
+
 def test_params_roundtrip_with_temperature():
     p = ModelParams.from_temperature(zeta=1.0, temperature=0.5, eta=0.7, omega=0.001)
     q = ModelParams(**p.to_dict())
