@@ -316,13 +316,15 @@ def _symmetric_axis(n: int) -> np.ndarray:
     return (axis - axis[::-1]) / 2.0
 
 
-def _short_time_negativities(step: list[np.ndarray], p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Negativity after ``step = [exp(tau S)]`` from the product states of the (p, q) arrays.
+def _short_time_negativities(
+    step: list[np.ndarray], p: np.ndarray, q: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with the negativity after ``step = [exp(tau S)]`` from the (p, q) product states.
 
     The states are built, propagated and measured ``_CONFIRM_BLOCK`` at a
     time, as stacks, through :func:`product_state` and the sampling loop.
+    Returns ``out``, which must have the size of ``p`` and ``q``.
     """
-    out = np.empty(p.size)
     for start in range(0, p.size, _CONFIRM_BLOCK):
         rho0 = product_state(p[start:start + _CONFIRM_BLOCK], q[start:start + _CONFIRM_BLOCK])
         out[start:start + len(rho0)] = negativity(_sample(step, rho0, 1, rho0.shape[:1])[1])
@@ -360,7 +362,11 @@ def region_scan(
     ``spot_checks`` entangling grid points, picked by ``random.Random(seed)``,
     the state is evolved to ``confirm_tau`` and must show strictly positive
     negativity; a contradiction raises.  With ``confirm_dynamics`` the short-time
-    negativity is computed for every grid point and returned as a column.
+    negativity is computed for every grid point and returned as a column:
+    only the first half of the p-major grid is evolved, and each point of the
+    other half takes the value of its mirror (-p, -q), which the parity
+    ``sigma_z (x) sigma_z`` of the generator makes bitwise equal.  The spot
+    checks are always evolved directly, so they also check the mirror.
     ``confirm_tau`` must be finite and > 0: backward propagation leaves the
     state space; ``spot_checks`` and ``seed`` must be >= 0.
     """
@@ -381,7 +387,8 @@ def region_scan(
     # exp(tau S), built once for the spot checks and the confirmation column
     step = [matrix_exp(liou.superop, confirm_tau)] if i.size or confirm_dynamics else []
     checks: list[dict] = []
-    for p, q, neg in zip(axis[i], axis[j], _short_time_negativities(step, axis[i], axis[j])):
+    direct = _short_time_negativities(step, axis[i], axis[j], np.empty(i.size))
+    for p, q, neg in zip(axis[i], axis[j], direct):
         if neg <= 0.0:
             raise NumericalInvariantError(
                 f"point ({p:g}, {q:g}) is flagged entangling but shows no "
@@ -392,7 +399,12 @@ def region_scan(
     confirm = None
     if confirm_dynamics:
         p, q = np.meshgrid(axis, axis, indexing="ij")
-        confirm = _short_time_negativities(step, p.ravel(), q.ravel()).reshape(n, n)
+        flat = np.empty(n * n)
+        half = (n * n + 1) // 2
+        _short_time_negativities(step, p.ravel()[:half], q.ravel()[:half], flat[:half])
+        # point k is (-p, -q) of n^2-1-k: the exact parity flip Z(x)Z keeps the negativity
+        flat[half:] = flat[n * n - half - 1::-1]
+        confirm = flat.reshape(n, n)
 
     return RegionScan(
         p_values=axis,

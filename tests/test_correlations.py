@@ -492,8 +492,9 @@ def test_discord_matches_reference(kind):
     assert result.discord.shape == (len(states),)
     for k, rho in enumerate(states):
         ref_discord, ref_classical = reference_discord(rho)
-        assert abs(result.discord[k] - ref_discord) <= 1e-9
-        assert abs(result.classical_corr[k] - ref_classical) <= 1e-9
+        # about 3x the largest measured gap, 1.6e-14 (classical_corr, rk4_generic)
+        assert abs(result.discord[k] - ref_discord) <= 5e-14
+        assert abs(result.classical_corr[k] - ref_classical) <= 5e-14
         # the reported axis attains the reported optimum
         s_q = entropy_bits(partial_trace(rho, "first"))
         attained = conditional_entropy(rho, result.theta[k], result.phi[k])

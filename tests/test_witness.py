@@ -8,6 +8,7 @@ from bathlink.errors import ConfigError, NumericalInvariantError
 from bathlink.matops import matrix_exp, partial_transpose_second
 from bathlink.model import ModelParams, build_liouvillian
 from bathlink.witness import (
+    DEFAULT_CONFIRM_TAU,
     dxi0_general,
     dxi0_quadratic,
     is_entangling,
@@ -291,19 +292,47 @@ def test_region_scan_csv(tmp_path, canonical_params):
     assert first[2] in ("0", "1")
 
 
-@pytest.mark.parametrize("eta", [1.0, 0.6])
-@pytest.mark.parametrize("n", [2, 11, 40])
-def test_region_scan_matches_per_point_reference(n, eta):
-    params = ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=eta, omega=0.001)
-    scan = region_scan(params, n=n, spot_checks=0, confirm_dynamics=True)
-    # the same propagator as region_scan, so the per-point loop is compared
-    # bit for bit with the batched scan; matrix_exp has its own oracle tests
+def _rates_at(eta):
+    return ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=eta, omega=0.001)
+
+
+@pytest.mark.parametrize("params, tau, excess_ulps", [
+    pytest.param(_rates_at(1.0), DEFAULT_CONFIRM_TAU, 0, id="1.0"),
+    pytest.param(_rates_at(0.6), DEFAULT_CONFIRM_TAU, 0, id="0.6"),
+    pytest.param(_rates_at(0.0), DEFAULT_CONFIRM_TAU, 0, id="0.0"),
+    # numpy's array power rounds q**4 an ulp away from the oracle's scalar
+    # power at q = 7/13 (n = 40); at these rates that moves the excess by up
+    # to an ulp of its largest entry
+    pytest.param(ModelParams.from_temperature(zeta=1.0, temperature=0.7, eta=0.8, omega=0.001),
+                 DEFAULT_CONFIRM_TAU, 1, id="T0.7-eta0.8"),
+    pytest.param(_rates_at(0.6), 0.05, 0, id="0.6-tau0.05"),
+])
+@pytest.mark.parametrize("n", [2, 11, 40, 121])
+def test_region_scan_matches_per_point_reference(n, params, tau, excess_ulps):
+    scan = region_scan(params, n=n, spot_checks=0, confirm_dynamics=True, confirm_tau=tau)
+    # the same propagator as region_scan, so the per-point loop, which evolves
+    # every point, is compared bit for bit with the batched scan and its
+    # parity-mirrored half; matrix_exp has its own oracle tests
     entangling, excess, neg = reference_region_scan(
-        params.gamma1, params.gamma2, eta, matrix_exp(build_liouvillian(params).superop, 1e-4), n
+        params.gamma1, params.gamma2, params.eta,
+        matrix_exp(build_liouvillian(params).superop, tau), n,
     )
     assert np.array_equal(scan.entangling, entangling)
-    assert np.array_equal(scan.excess, excess)
+    assert np.all(np.abs(scan.excess - excess) <= excess_ulps * np.spacing(np.abs(excess).max()))
     assert np.array_equal(scan.confirm_negativity, neg)
+
+
+def test_region_scan_spot_checks_match_confirmation_column(canonical_params):
+    n = 21
+    scan = region_scan(canonical_params, n=n, spot_checks=10, seed=0, confirm_dynamics=True)
+    index = {float(x): k for k, x in enumerate(scan.p_values)}
+    flat = []
+    for check in scan.spot_checks:
+        i, j = index[check["p"]], index[check["q"]]
+        # the spot checks evolve their points directly, the column mirrors half of them
+        assert check["negativity"] == scan.confirm_negativity[i, j]
+        flat.append(i * n + j)
+    assert min(flat) < (n * n + 1) // 2 <= max(flat)
 
 
 def test_region_scan_rejects_tiny_grid(canonical_params):
