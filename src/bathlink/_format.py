@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,18 +28,17 @@ def fmt(x: float) -> str:
 def atomic_write(path: str):
     """Write to a temp file in the target directory, rename on success.
 
-    No partial output file is left behind if the body raises.  The file
-    gets the mode ``open`` would give it, ``0o666`` less the umask, not the
-    temp file's private ``0o600``.
+    No partial output file is left behind if the body raises.  The temp
+    file ``.tmp-<random hex>~`` is created exclusively with mode ``0o666``,
+    which the kernel reduces by the umask, so the file gets the mode
+    ``open`` would give it.  The text is written as UTF-8 with Unix line ends.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -41,11 +41,11 @@ from .witness import (
     DEFAULT_CONFIRM_TAU,
     DEFAULT_SEED,
     DEFAULT_SPOT_CHECKS,
-    _excess,
-    _product_state_report,
+    is_entangling,
     quadratic_roots,
     region_scan,
     report_for_kappas,
+    report_for_product_state,
 )
 
 _TIME_HELP = "dimensionless time zeta*t"
@@ -81,16 +81,16 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats=("csv", "json")) 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill unset flags from --config; the same key in both is an error.
 
-    Each value is parsed as the command line would parse its text, with the
-    flag's own ``type`` and ``choices``; a ``store_true`` flag takes only a
-    JSON boolean.
+    The file is read as UTF-8, the encoding JSON requires.  Each value is
+    parsed as the command line would parse its text, with the flag's own
+    ``type`` and ``choices``; a ``store_true`` flag takes only a JSON boolean.
     """
     if not args.config:
         return
     try:
-        with open(args.config) as f:
+        with open(args.config, encoding="utf-8") as f:
             cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, not JSON, or an integer past int's limit
         raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("--config must contain a JSON object")
@@ -284,12 +284,6 @@ def _cmd_steady_state(args: argparse.Namespace) -> int:
     mode = args.mode or "both"
     payload: dict = {"params": params.to_dict(), "mode": mode}
     liou = build_liouvillian(params)
-    if mode in ("both", "analytic") and params.gamma2 <= 0:
-        raise ConfigError(
-            "config error: gamma2 = 0 has no thermal-ratio steady state "
-            "(gamma1/gamma2 diverges); use --mode numeric to inspect the "
-            "degenerate kernel"
-        )
     analytic = steady_state_analytic(params) if mode in ("both", "analytic") else None
     numeric = (
         steady_state_numeric(liou, require_unique=False)
@@ -323,8 +317,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     payload: dict = {"params": params.to_dict()}
     if kappa_mode:
         _require(args, ["kappa1", "kappa3"])
-        kappa2 = 0.0 if args.kappa2 is None else args.kappa2
-        report = report_for_kappas(args.kappa1, args.kappa3, params, kappa2=kappa2)
+        given = {} if args.kappa2 is None else {"kappa2": args.kappa2}
+        report = report_for_kappas(args.kappa1, args.kappa3, params, **given)
         payload.update(report.to_dict())
         if args.kappa1 * args.kappa3 < 0:
             note = (
@@ -338,9 +332,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             payload["kappa1_root_interval"] = [lo, hi]
     else:
         _require(args, ["p", "q"])
-        report, form = _product_state_report(args.p, args.q, params, args.alpha, args.beta)
+        report = report_for_product_state(args.p, args.q, params, args.alpha, args.beta)
         payload.update(report.to_dict())
-        payload["excess"] = _excess(form, params)
+        payload["excess"] = is_entangling(args.p, args.q, params)[1]
         if args.roots:
             raise ConfigError("config error: --roots applies to the kappa form only")
     write_json(args.out, payload)

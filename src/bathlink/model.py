@@ -319,9 +319,9 @@ def steady_state_analytic(params: ModelParams) -> np.ndarray:
     """
     if params.gamma2 <= 0:
         raise ConfigError(
-            "gamma2 = 0: the thermal-ratio steady state is undefined "
-            "(gamma1/gamma2 diverges); use steady_state_numeric and inspect "
-            "the kernel dimension"
+            "gamma2 = 0 has no thermal-ratio steady state (gamma1/gamma2 "
+            "diverges); the numeric steady state (steady_state_numeric, or "
+            "--mode numeric) shows the degenerate kernel"
         )
     r = params.gamma1 / params.gamma2
     if not math.isfinite(r * r):

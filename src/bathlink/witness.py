@@ -102,14 +102,19 @@ def quadratic_coefficients(
 ) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the rate form in (alpha, beta) for the (p, q) state.
 
-    ``p`` and ``q`` may be arrays that broadcast against each other.  At very
-    large rates a coefficient may overflow to inf (or nan), silently.
+    ``p`` and ``q`` may be arrays that broadcast against each other.  A
+    coefficient that is not finite (it overflows at very large rates) raises
+    :class:`NumericalInvariantError`.
     """
     g1, g2, eta = params.gamma1, params.gamma2, params.eta
     with np.errstate(over="ignore", invalid="ignore"):
         a = 2.0 * (g2 * p**4 + (p**2 - 1.0) ** 2 * g1)
         c = 2.0 * eta**2 * (g2 * q**4 + (q**2 - 1.0) ** 2 * g1)
         b = -2.0 * eta * (g1 + g2) * (p**2 * (2.0 * q**2 - 1.0) - q**2)
+    if not all(np.isfinite(x).all() for x in (a, b, c)):
+        raise NumericalInvariantError(
+            f"rate form coefficients A, B, C are not finite at {params.label()}"
+        )
     return a, b, c
 
 
@@ -149,24 +154,18 @@ def is_entangling(p: float, q: float, params: ModelParams) -> tuple[bool, float]
     boundary ``excess = 0`` is classified non-entangling (the rate condition
     is a strict inequality).  ``p`` and ``q`` may be arrays that broadcast
     against each other; the verdict and the excess then are arrays too.
-    An excess that is not finite (the form overflows at very large rates)
-    raises :class:`NumericalInvariantError`.
+    An excess that is not finite (``B^2`` overflows at rates near 1e150, long
+    before the form does) raises :class:`NumericalInvariantError`.
     """
     _check_amplitudes(p, q)
-    excess = _excess(quadratic_coefficients(p, q, params), params)
-    return excess > 0.0, excess
-
-
-def _excess(form: tuple[float, float, float], params: ModelParams) -> float:
-    """``B^2 - 4AC`` of the rate form ``(A, B, C)``; raises unless it is finite."""
-    a, b, c = form
+    a, b, c = quadratic_coefficients(p, q, params)
     with np.errstate(over="ignore", invalid="ignore"):
         excess = b * b - 4.0 * a * c
     if not np.all(np.isfinite(excess)):
         raise NumericalInvariantError(
             f"entangling excess B^2 - 4AC is not finite at {params.label()}"
         )
-    return excess
+    return excess > 0.0, excess
 
 
 @dataclass(frozen=True)
@@ -234,13 +233,6 @@ def report_for_product_state(
     otherwise the most negative rate over unit coefficient vectors (the
     smallest eigenvalue of the quadratic form) and its optimal direction.
     """
-    return _product_state_report(p, q, params, alpha, beta)[0]
-
-
-def _product_state_report(
-    p: float, q: float, params: ModelParams, alpha: float | None, beta: float | None
-) -> tuple[WitnessReport, tuple[float, float, float]]:
-    """:func:`report_for_product_state`, and the rate form ``(A, B, C)`` it evaluated."""
     if (alpha is None) != (beta is None):
         raise ConfigError("alpha and beta must be supplied together")
     _check_amplitudes(p, q)
@@ -253,9 +245,8 @@ def _product_state_report(
     else:
         _check_finite(alpha=alpha, beta=beta)
         rate = _form_rate(form, alpha, beta)
-    report = _report(product_state(p, q), witness_vector(p, q, alpha, beta), rate,
-                     f"p={fmt(p)}, q={fmt(q)}, alpha={fmt(alpha)}, beta={fmt(beta)}")
-    return report, form
+    return _report(product_state(p, q), witness_vector(p, q, alpha, beta), rate,
+                   f"p={fmt(p)}, q={fmt(q)}, alpha={fmt(alpha)}, beta={fmt(beta)}")
 
 
 @dataclass(frozen=True)

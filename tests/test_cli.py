@@ -219,11 +219,17 @@ def test_simulate_rk4_steps_beyond_float_range_exits_2(tmp_path, capsys):
 
 
 def test_witness_overflowing_excess_exits_3(tmp_path, capsys):
+    # B^2 overflows at rates of 1e150; at 8e307 B itself does, before any
+    # report is formed (under tier-1's error::RuntimeWarning a warning would raise)
     out = tmp_path / "w.json"
-    assert main(["witness", "--gamma1", "1e150", "--gamma2", "1e150", "--eta", "1e4",
-                 "--omega", "1", "--p", "0.6", "--q", "0.3", "--out", str(out)]) == 3
-    assert "not finite" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for rates, eta, p, q, message in [
+        ("1e150", "1e4", "0.6", "0.3", "entangling excess B^2 - 4AC is not finite"),
+        ("8e307", "1", "0.5", "0.5", "rate form coefficients A, B, C are not finite"),
+    ]:
+        assert main(["witness", "--gamma1", rates, "--gamma2", rates, "--eta", eta,
+                     "--omega", "1", "--p", p, "--q", q, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_huge_eta_is_a_config_error(tmp_path, capsys):
@@ -701,6 +707,22 @@ def test_config_file_collision_is_an_error(tmp_path, capsys):
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--t-max", "1", "--config", str(cfg), "--out", str(out)]) == 2
     assert "both on the command line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    # JSON text is UTF-8 (RFC 8259): a stray byte is reported like bad JSON
+    (b'{"eta": 1, "omega": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    # json parses integers past 4300 digits into a ValueError, not a JSONDecodeError
+    (b'{"eta": 1' + b"0" * 5000 + b', "omega": 1}', "Exceeds the limit (4300 digits)"),
+])
+def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "w.json"
+    assert main(["witness", *CANON[:4], "--kappa1", "1", "--kappa3", "1",
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot read --config {cfg}: {message}")
+    assert not out.exists()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

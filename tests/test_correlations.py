@@ -171,10 +171,10 @@ def _svd_check_fails(rho, pt_of, eigvalsh):
 _EIGVALSH = np.linalg.eigvalsh
 
 
-def _perturbed_eigenvalue(k):
+def _perturbed_eigenvalue(k, size=1e-9):
     def eigvalsh(a):
         eigs = _EIGVALSH(a).copy()
-        eigs[..., k] += 1e-9
+        eigs[..., k] += size
         return eigs
     return eigvalsh
 
@@ -196,6 +196,18 @@ def _axes_pt(perm):
         blocks = states.reshape(states.shape[:-2] + (2, 2, 2, 2))
         return np.ascontiguousarray(blocks.transpose(0, *perm)).reshape(states.shape)
     return pt_of
+
+
+def test_spectrum_check_holds_eigenvalues_to_1e_12(monkeypatch):
+    # psi- has partial-transpose spectrum (-1/2, 1/2, 1/2, 1/2), so s = 1/2 and the
+    # eigenvalue sum is held to 5e-13; the sum of cubes, 3/4 of a shift, to 1.25e-13
+    import bathlink.correlations as corr
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", _perturbed_eigenvalue(3, 1e-13))
+    assert abs(corr.negativity(bell_state("psi-")) - 0.5) < 1e-15
+    monkeypatch.setattr(np.linalg, "eigvalsh", _perturbed_eigenvalue(3, 1e-12))
+    with pytest.raises(NumericalInvariantError, match="sum of eigenvalues 1.000000000001 does"):
+        corr.negativity(bell_state("psi-"))
 
 
 #: (name, partial transpose, eigensolver) of each mutated negativity route.

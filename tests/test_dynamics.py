@@ -167,6 +167,17 @@ def test_evolve_exact_uniform_and_irregular_grids_agree(canonical_liouvillian):
     assert max_abs_diff(irregular.states[3], exact) < 1e-12
 
 
+def test_evolve_exact_takes_a_grid_as_uniform_to_1e_12(canonical_liouvillian):
+    # intervals 1 and 1 + d: within rtol 1e-12 one map serves both and the
+    # state lands d early, unseen; d = 1e-10 needs its own map, or lands 1.8e-12 off
+    rho0 = product_state(1.0, 0.0)
+    for d in (1e-13, 1e-10):
+        times = np.array([0.0, 1.0, 2.0 + d])
+        exact = propagate(canonical_liouvillian.superop, rho0, times[-1])
+        assert max_abs_diff(evolve_exact(canonical_liouvillian, rho0, times).final_state,
+                            exact) < 1e-13
+
+
 def test_evolve_exact_steps_a_list_like_each_generator_alone():
     rho0 = product_state(0.6, 0.3)
     times = np.linspace(0.0, 6.0, 51)
@@ -303,6 +314,14 @@ def test_validate_holds_hermiticity_to_1e_10():
     validate_density_matrix(state)
     state[0, 1] = 5e-10
     with pytest.raises(NumericalInvariantError, match=r"^state: Hermiticity deviation 5\.000e-10$"):
+        validate_density_matrix(state)
+
+
+def test_validate_holds_the_trace_to_1e_9():
+    state = np.diag([0.4, 0.3, 0.2, 0.1 + 5e-10]).astype(complex)
+    validate_density_matrix(state)
+    state[3, 3] = 0.1 + 5e-9
+    with pytest.raises(NumericalInvariantError, match=r"^state: trace deviates by 5\.000e-09$"):
         validate_density_matrix(state)
 
 

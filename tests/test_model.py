@@ -269,6 +269,14 @@ def test_build_rejects_a_trace_leak(monkeypatch):
     with pytest.raises(NumericalInvariantError, match="does not annihilate the trace") as info:
         build_liouvillian(params)
     assert str(info.value).endswith(f"at {params.label()}")
+    # the trace row is held to 1e-12 max|S| (2.747e-12 here); both lifts add the term
+    monkeypatch.setattr(model, "_lift_dissipator",
+                        lambda rate, jump: lift(rate, jump) + 1e-12 * np.eye(16))
+    build_liouvillian(params)
+    monkeypatch.setattr(model, "_lift_dissipator",
+                        lambda rate, jump: lift(rate, jump) + 2e-12 * np.eye(16))
+    with pytest.raises(NumericalInvariantError, match=r"trace \(max 4\.000e-12, max\|S\| 2\.747"):
+        build_liouvillian(params)
 
 
 def test_build_rejects_a_growing_mode(monkeypatch):
@@ -279,6 +287,15 @@ def test_build_rejects_a_growing_mode(monkeypatch):
     with pytest.raises(NumericalInvariantError, match="eigenvalue with positive real part") as info:
         build_liouvillian(params)
     assert str(info.value).endswith(f"at {params.label()}")
+    # real parts are held to 1e-10 max|S|: shift the computed spectrum to either side of it
+    monkeypatch.setattr(model, "_lift_dissipator", lift)
+    scale = np.abs(build_liouvillian(params).superop).max()
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + 0.5e-10 * scale)
+    build_liouvillian(params)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + 2e-10 * scale)
+    with pytest.raises(NumericalInvariantError, match=r"positive real part 5\.494e-10 at"):
+        build_liouvillian(params)
 
 
 def test_stacked_build_matches_the_per_value_oracle():
@@ -425,6 +442,22 @@ def test_steady_state_numeric_zero_temperature_dark_state():
     p = ModelParams.from_rates(1.0, 0.0, 1.0, 0.001)
     result = steady_state_numeric(build_liouvillian(p), require_unique=False)
     assert result.null_space_dim > 1
+
+
+def test_steady_state_numeric_holds_a_traceless_kernel_to_1e_14():
+    # a generator whose kernel is spanned by diag(1, -1, tau, 0): its unit
+    # eigenvector has trace tau / sqrt(2), a state only from 1e-14 up
+    def generator(tau):
+        kernel = vec(np.diag([1.0, -1.0, tau, 0.0])).real
+        kernel /= np.linalg.norm(kernel)
+        superop = (np.outer(kernel, kernel) - np.eye(16)).astype(complex)
+        return model.Liouvillian(params=ModelParams.from_rates(1.01, 0.01, 0.6, 0.001),
+                                 superop=superop, eigenvalues=np.linalg.eigvals(superop),
+                                 spectral_radius=1.0)
+
+    assert steady_state_numeric(generator(1e-13)).null_space_dim == 1
+    with pytest.raises(DegenerateSteadyStateError, match="eigenvector is traceless"):
+        steady_state_numeric(generator(1e-14))
 
 
 def test_steady_state_numeric_decoupled_oscillator_is_degenerate():

@@ -9,6 +9,7 @@ from bathlink.matops import matrix_exp, partial_transpose_second
 from bathlink.model import ModelParams, build_liouvillian
 from bathlink.witness import (
     DEFAULT_CONFIRM_TAU,
+    _report,
     dxi0_general,
     dxi0_quadratic,
     is_entangling,
@@ -220,8 +221,14 @@ def test_quadratic_coefficients_are_nonnegative(canonical_params):
 def test_is_entangling_rejects_non_finite_excess():
     # B^2 overflows at rates of 1e150
     params = ModelParams.from_rates(1e150, 1e150, 1e4, 1.0)
-    with pytest.raises(NumericalInvariantError, match="not finite"):
+    with pytest.raises(NumericalInvariantError, match="excess B\\^2 - 4AC is not finite"):
         is_entangling(0.6, 0.3, params)
+    # at 8e307 the coefficient B overflows, so no route reads a NaN form
+    params = ModelParams.from_rates(8e307, 8e307, 1.0, 1.0)
+    for evaluate in (is_entangling, report_for_product_state):
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^rate form coefficients A, B, C are not finite at omega=1"):
+            evaluate(0.5, 0.5, params)
 
 
 # -------------------------------------------------------------- region scan
@@ -375,6 +382,23 @@ def test_report_for_product_state_non_entangling_point(canonical_params):
     report = report_for_product_state(1.0, 1.0, canonical_params)
     assert not report.entangling
     assert report.dxi0 >= -1e-15
+
+
+def test_report_holds_xi0_to_1e_12_and_its_imaginary_part_to_1e_10():
+    # a direction entangles only where Xi(0) vanishes: below 1e-12
+    psi = np.array([1, 0, 0, 0], dtype=complex)
+    for xi0, entangling in ((5e-13, True), (5e-12, False)):
+        rho0 = np.diag([xi0, 1.0 - xi0, 0.0, 0.0]).astype(complex)
+        report = _report(rho0, psi, -1.0, "probe")
+        assert abs(report.xi0 - xi0) < 1e-20 and report.entangling is entangling
+    # a lone entry 2ix of rho0 gives Xi(0) the imaginary part x along |00> + |01>
+    psi = np.array([1, 1, 0, 0], dtype=complex)
+    rho0 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho0[1, 0] = 1e-10j
+    _report(rho0, psi, -1.0, "probe")
+    rho0[1, 0] = 1e-9j
+    with pytest.raises(NumericalInvariantError, match=r"imaginary part 5\.000e-10;"):
+        _report(rho0, psi, -1.0, "probe")
 
 
 # ------------------------------------------- witness verdict vs dynamics tie
