@@ -52,7 +52,7 @@ def measurement_operators(states: np.ndarray) -> np.ndarray:
     Row ``a`` holds ``(O00, O11, Re O01, Im O01)`` of ``O = Tr_HO[(1 (x)
     sigma_a) rho]`` with ``sigma_0 = 1``, so ``O_0 = rho_Q``.
     """
-    r = np.asarray(states, dtype=complex).reshape(-1, 2, 2, 2, 2)
+    r = np.asarray(states).reshape(-1, 2, 2, 2, 2)
     ops = np.einsum("akh,nqhpk->naqp", _PAULI, r)
     return np.stack(
         [ops[..., 0, 0].real, ops[..., 1, 1].real, ops[..., 0, 1].real, ops[..., 0, 1].imag],
@@ -109,7 +109,7 @@ def x_state_terms(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     optimal).  Row ``k`` of the coefficients is ``(rho_Q00, rho_Q11, T_z00,
     T_z11, (|rho_03| + |rho_12|)^2 / 4)``.
     """
-    states = np.asarray(states, dtype=complex)
+    states = np.asarray(states)
     diag = states[:, [0, 1, 2, 3], [0, 1, 2, 3]].real
     rho03, rho12 = states[:, 0, 3], states[:, 1, 2]
     coherent = (rho03 != 0.0) & (rho12 != 0.0)
@@ -144,7 +144,7 @@ def conditional_entropy_grid(
     Returns an (N, n_theta, n_phi) array in bits, computed a block of states
     at a time, with ``_BLOCK_PAIRS`` state-axis pairs per block.
     """
-    states = np.asarray(states, dtype=complex)
+    states = np.asarray(states)
     th, ph = np.meshgrid(np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float),
                          indexing="ij")
     axes = bloch_axes(th.ravel(), ph.ravel())

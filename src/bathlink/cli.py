@@ -189,7 +189,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.steps is not None:
             raise ConfigError("config error: --steps applies only to --method rk4")
         traj = evolve_exact(liou, rho0, times)
-    measured = discord(traj.states)
+    # the frame states: every measure is invariant under the frame's local unitary
+    measured = discord(traj.frame_states)
     table = np.column_stack([
         traj.times, measured.negativity, measured.mutual_info, measured.discord,
         measured.classical_corr, traj.trace, traj.min_eig,
@@ -255,7 +256,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     measure = measures[args.observable]
     rho0 = product_state(args.p, args.q)
     trajectories = evolve_exact(build_liouvillian(_sweep_params(args, values)), rho0, times)
-    blocks = [np.column_stack([traj.times, np.full(len(traj), value), measure(traj.states)])
+    # measured in the rotating frame, whose local unitary keeps every measure
+    blocks = [np.column_stack([traj.times, np.full(len(traj), value),
+                               measure(traj.frame_states)])
               for value, traj in zip(values, trajectories)]
     write_table(args.out, args.format or "csv", ["t", "axis_value", "observable"],
                 np.concatenate(blocks))

@@ -65,7 +65,7 @@ from ._kernels import (
     x_state_terms,
 )
 from .errors import ConfigError, NumericalInvariantError
-from .matops import _COHERENCE_ORDER, partial_trace, partial_transpose_second
+from .matops import _COHERENCE_ORDER, _as_inexact, partial_trace, partial_transpose_second
 
 #: Largest trace deviation an entropy input may have.
 ENTROPY_TRACE_TOL = 1e-6
@@ -140,8 +140,8 @@ log = logging.getLogger(__name__)
 
 
 def _stack(rho: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``(states as (N, 4, 4), whether one state was given)``."""
-    rho = np.asarray(rho, dtype=complex)
+    """``(states as (N, 4, 4), whether one state was given)``; real states stay real."""
+    rho = _as_inexact(rho)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError(f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
     return (rho[None], True) if rho.ndim == 2 else (rho, False)

@@ -8,6 +8,14 @@ is independent verification.  Both step their states through one sampling
 loop, one 16x16 map per interval, and every trajectory is checked as a stack
 of density matrices by :func:`validate_density_matrix`, which also returns
 the trace and least eigenvalue that the tables print.
+
+The exact route steps the states in the frame rotating at omega, with the
+real dissipator ``D`` of ``S = D - i omega diag(k)``: a state from real
+amplitudes stays real there.  That frame differs from the lab frame by the
+local unitary ``exp(-i omega t n_Q) (x) exp(-i omega t n_HO)``, which keeps
+the trace, the spectrum, the negativity and the entropies, so the measures
+are taken of the frame states and the lab-frame states are formed only when
+read (:attr:`Trajectory.states`).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from ._format import write_table
 from .errors import ConfigError, NumericalInvariantError, StabilityError
-from .matops import matrix_exp, unvec, vec
+from .matops import _COHERENCE_ORDER, _as_inexact, matrix_exp, unvec, vec
 from .model import Liouvillian
 
 log = logging.getLogger(__name__)
@@ -90,36 +98,39 @@ def product_state(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
     ``|phi> = (p|0> + sqrt(1-p^2)|1>)_Q (x) (q|0> + sqrt(1-q^2)|1>)_HO``,
     so ``(p=1, q=0)`` is ``|0>_Q |1>_HO`` and ``(p=0, q=1)`` is ``|1>_Q |0>_HO``.
     ``p`` and ``q`` may be arrays that broadcast against each other; the
-    result then is a stack ``shape + (4, 4)``.
+    result then is a stack ``shape + (4, 4)``.  The states are real.
     """
     _check_amplitudes(p, q)
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    a = np.stack([p, np.sqrt(1.0 - p * p)], axis=-1).astype(complex)
-    b = np.stack([q, np.sqrt(1.0 - q * q)], axis=-1).astype(complex)
+    a = np.stack([p, np.sqrt(1.0 - p * p)], axis=-1)
+    b = np.stack([q, np.sqrt(1.0 - q * q)], axis=-1)
     psi = (a[..., :, None] * b[..., None, :]).reshape(p.shape + (4,))
-    return psi[..., :, None] * psi[..., None, :].conj()
+    return psi[..., :, None] * psi[..., None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trajectory:
     """Time-ordered states of one propagation.
 
-    ``times`` is strictly increasing with ``times[0] = 0``; every stored
-    state satisfies the density-matrix invariants as stored, and ``trace``
-    (real part) and ``min_eig`` hold what :func:`validate_density_matrix`
-    measured of each.
+    ``times`` is strictly increasing with ``times[0] = 0``.  ``frame_states``
+    are the states as propagated, in the frame rotating at ``frame_omega``
+    (0, the lab frame, unless given): every one satisfies the density-matrix
+    invariants as stored, and ``trace`` (real part) and ``min_eig`` hold what
+    :func:`validate_density_matrix` measured of each.  :attr:`states` and
+    :attr:`final_state` are the lab-frame states,
+    ``rho_ij = exp(-i frame_omega t k_ij) frame_rho_ij`` with ``k_ij`` the
+    coherence order of entry (i, j), formed when read.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    trace: np.ndarray = field(init=False, repr=False)
-    min_eig: np.ndarray = field(init=False, repr=False)
+    frame_states: np.ndarray = field(repr=False)
+    frame_omega: float
+    trace: np.ndarray = field(repr=False)
+    min_eig: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=complex)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+    def __init__(self, times: np.ndarray, states: np.ndarray, frame_omega: float = 0.0):
+        times = np.asarray(times, dtype=float)
+        states = _as_inexact(states)
         if times.ndim != 1 or states.shape != (times.size, 4, 4):
             raise NumericalInvariantError(
                 f"inconsistent trajectory shapes {times.shape} / {states.shape}"
@@ -127,15 +138,29 @@ class Trajectory:
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise NumericalInvariantError("times must start at 0 and increase strictly")
         trace, min_eig = validate_density_matrix(states, times=times)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "min_eig", min_eig)
+        for name, value in (("times", times), ("frame_states", states),
+                            ("frame_omega", float(frame_omega)), ("trace", trace),
+                            ("min_eig", min_eig)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return int(self.times.size)
 
+    def _lab(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        if self.frame_omega == 0.0:
+            return states
+        # k is an integer in -2..2, so (omega t) k rounds only in omega t
+        phase = (self.frame_omega * times)[..., None, None] * _COHERENCE_ORDER
+        return np.exp(-1j * phase) * states
+
+    @property
+    def states(self) -> np.ndarray:
+        """The lab-frame states, ``(N, 4, 4)``."""
+        return self._lab(self.times, self.frame_states)
+
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self._lab(self.times[-1], self.frame_states[-1])
 
 
 def _sample(
@@ -146,9 +171,10 @@ def _sample(
     ``maps`` yields the ``count`` maps in order, each ``batch + (16, 16)``:
     ``batch`` is ``()`` for one trajectory or ``(K,)`` for K stepped
     together.  The result is ``(count + 1,) + batch + (4, 4)``, filled with
-    one (batched) matrix-vector product per interval.
+    one (batched) matrix-vector product per interval, in the dtype of
+    ``rho0``, which must hold the maps' products.
     """
-    v = np.empty((count + 1,) + batch + (16, 1), dtype=complex)
+    v = np.empty((count + 1,) + batch + (16, 1), dtype=rho0.dtype)
     v[0] = vec(rho0)[..., None]
     for k, step in enumerate(maps):
         np.matmul(step, v[k], out=v[k + 1])
@@ -223,11 +249,11 @@ def _noting(note: str):
 
 
 def _maps(generators: list[Liouvillian], dt: float) -> np.ndarray:
-    """``exp(dt S)`` of each generator, as one ``(K, 16, 16)`` stack."""
-    maps = np.empty((len(generators), 16, 16), dtype=complex)
+    """``exp(dt D)`` of each generator's real dissipator, as one ``(K, 16, 16)`` stack."""
+    maps = np.empty((len(generators), 16, 16))
     for k, liouvillian in enumerate(generators):
         with _noting(f"generator at {liouvillian.params.label()}"):
-            maps[k] = matrix_exp(liouvillian.superop, dt)
+            maps[k] = matrix_exp(liouvillian.dissipator, dt)
     return maps
 
 
@@ -236,18 +262,21 @@ def evolve_exact(
 ) -> Trajectory | list[Trajectory]:
     """Exact trajectory at the given times (finite, ascending, starting at 0).
 
-    The states are stepped through the sampling loop, one map
-    ``exp(dt_k S)`` per interval.  A uniform grid takes a single ``expm``
-    and applies it on every interval; an irregular grid takes each
-    interval's exponential when it reaches it, so one map per generator is
-    held at a time.  ``liouvillian`` may also be a sequence of generators:
-    all of them are stepped together, one batched product per interval,
-    and one trajectory per generator is returned.  An error in mapping or
-    checking a generator's trajectory ends with that generator's parameters.
+    The states are stepped in the frame rotating at omega through the
+    sampling loop, one real map ``exp(dt_k D)`` per interval, and checked
+    there; each trajectory keeps them with its generator's omega as its
+    frame (see :class:`Trajectory`).  A real ``rho0`` gives real frame
+    states.  A uniform grid takes a single ``expm`` and applies it on every
+    interval; an irregular grid takes each interval's exponential when it
+    reaches it, so one map per generator is held at a time.  ``liouvillian``
+    may also be a sequence of generators: all of them are stepped together,
+    one batched product per interval, and one trajectory per generator is
+    returned.  An error in mapping or checking a generator's trajectory ends
+    with that generator's parameters.
     """
     single = isinstance(liouvillian, Liouvillian)
     generators = [liouvillian] if single else list(liouvillian)
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = _as_inexact(rho0)
     validate_density_matrix(rho0, context="initial state")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -265,7 +294,7 @@ def evolve_exact(
     trajectories = []
     for k, generator in enumerate(generators):
         with _noting(f"generator at {generator.params.label()}"):
-            trajectories.append(Trajectory(times=times, states=stack[:, k]))
+            trajectories.append(Trajectory(times, stack[:, k], generator.params.omega))
     return trajectories[0] if single else trajectories
 
 

@@ -37,13 +37,20 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def _as_inexact(a: np.ndarray) -> np.ndarray:
+    """``a`` as a float64 array if it is real, complex128 if it is complex."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, float), copy=False)
+
+
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     """Transpose the HO (second) index of 4x4 pair operators (last two axes).
 
     The four 2x2 blocks indexed by the Q part are each transposed in place,
-    which preserves Hermiticity and the trace and is an involution.
+    which preserves Hermiticity and the trace and is an involution.  Real
+    input gives a real result.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_inexact(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial transpose expects 4x4 matrices, got {rho.shape}")
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
@@ -54,9 +61,10 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     """Reduce 4x4 pair states (last two axes) to one 2x2 factor.
 
     ``keep="first"`` sums over the HO index and returns the Q state;
-    ``keep="second"`` sums over the Q index and returns the HO state.
+    ``keep="second"`` sums over the Q index and returns the HO state.  Real
+    input gives a real result.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_inexact(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial trace expects 4x4 matrices, got {rho.shape}")
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
@@ -129,13 +137,14 @@ def matrix_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
 
     The number of squarings follows Al-Mohy & Higham, SIAM J. Matrix Anal.
     Appl. 31, 970 (2009), with exact 1-norms of ``A^6``, ``A^8`` and ``A^10``.
-    A result that is not finite raises :class:`NumericalInvariantError`.
+    A real ``A`` gives a real result.  A result that is not finite raises
+    :class:`NumericalInvariantError`.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _as_inexact(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix_exp expects a square matrix, got {a.shape}")
     if t == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
+        return np.eye(a.shape[0], dtype=a.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         out, s = _pade_exp(t * a)
         for _ in range(s):
@@ -159,13 +168,13 @@ def trace_norm(a: np.ndarray) -> float:
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of an n x n matrix, or of each matrix of a stack."""
-    x = np.asarray(x, dtype=complex)
+    x = _as_inexact(x)
     return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vec`: each length-``n*n`` vector on the last axis as an n x n matrix."""
-    v = np.asarray(v, dtype=complex)
+    v = _as_inexact(v)
     n = math.isqrt(v.shape[-1])
     return v.reshape(*v.shape[:-1], n, n).swapaxes(-1, -2)
 

@@ -75,6 +75,12 @@ NULL_RTOL = 64 * np.finfo(float).eps
 #: Prosen, NJP 14, 073007 (2012)), so the generator is block diagonal in it.
 _ORDER = _COHERENCE_ORDER.ravel(order="F")
 _CROSS_ORDER = _ORDER[:, None] != _ORDER[None, :]
+#: The frame rotation ``-i diag(k)`` per unit omega.
+_ROTATION = np.diag([-1j * k for k in _ORDER.tolist()])
+#: Largest gap between ``Im S_ii`` and ``-omega k_i``, in units in the last
+#: place of omega: the rounding of H's levels and of their differences, which
+#: are at most 2 omega, is at most 2 of them at any scale.
+FRAME_ULPS = 4
 
 
 def rates_from_temperature(zeta: float, temperature: float) -> tuple[float, float]:
@@ -213,12 +219,16 @@ class Liouvillian:
     ``unvec(superop @ vec(rho))`` equals the master-equation right-hand side.
     ``eigenvalues`` are the 16 generator eigenvalues (real parts <= 0);
     ``spectral_radius`` is ``max |eigenvalue|`` and bounds stable step sizes.
+    ``dissipator`` is the real ``D`` of ``S = D - i omega diag(k)``, ``k``
+    the coherence order of each vec entry: the generator in the frame
+    rotating at ``omega``, where ``exp(t S) = diag(exp(-i omega t k)) exp(t D)``.
     """
 
     params: ModelParams
     superop: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
     spectral_radius: float
+    dissipator: np.ndarray = field(repr=False)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.superop @ vec(rho))
@@ -259,7 +269,11 @@ def build_liouvillian(
     nonzero eigenvectors.  The generator must be finite, couple no two different
     coherence orders (those entries exactly 0.0), annihilate the trace and
     have no eigenvalue with a positive real part, the last two within
-    rounding: 1e-12 and 1e-10 times ``max(1, max|S|)``.
+    rounding: 1e-12 and 1e-10 times ``max(1, max|S|)``.  Its imaginary part
+    must be the frame rotation ``-omega diag(k)``: exactly 0.0 off the
+    diagonal and within ``FRAME_ULPS`` units in the last place of omega on
+    it.  Then ``Re S`` is the generator in the frame rotating at omega, and
+    it is kept as ``dissipator``.
 
     ``params`` is one point, which gives one :class:`Liouvillian`, or a
     sequence of points, which gives a list of them.  Either way all points
@@ -283,17 +297,26 @@ def build_liouvillian(
         )
     eigvals = np.linalg.eigvals(s)
     leak = np.abs(s[:, _CROSS_ORDER]).max(axis=1)
+    # i Im S against the rotation, in complex operations the build already runs:
+    # a first float abs or np.spacing adds about 0.1 MB to a CLI run's peak RSS
+    frame_gap = np.abs(0.5 * (s - s.conj()) - omega * _ROTATION).max(axis=(1, 2))
+    off_frame = frame_gap > FRAME_ULPS * np.array([math.ulp(p.omega) for p in points])
     # both residuals are rounding of entries as large as max|S|
     scale = np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
     worst = np.abs(_TRACE_ROW @ s).max(axis=1)
     max_re = eigvals.real.max(axis=1)
-    bad = (leak != 0.0) | (worst >= 1e-12 * scale) | (max_re > 1e-10 * scale)
+    bad = (leak != 0.0) | off_frame | (worst >= 1e-12 * scale) | (max_re > 1e-10 * scale)
     if bad.any():
         k = int(np.argmax(bad))
         at = points[k].label()
         if leak[k] != 0.0:
             raise NumericalInvariantError(
                 f"generator couples different coherence orders (max entry {leak[k]:.3e}) at {at}"
+            )
+        if off_frame[k]:
+            raise NumericalInvariantError(
+                f"generator's imaginary part is not the frame rotation -omega diag(k) "
+                f"(off by {frame_gap[k]:.3e}) at {at}"
             )
         if worst[k] >= 1e-12 * scale[k]:
             raise NumericalInvariantError(
@@ -303,9 +326,10 @@ def build_liouvillian(
         raise NumericalInvariantError(
             f"generator eigenvalue with positive real part {max_re[k]:.3e} at {at}"
         )
+    dissipator = s.real.copy()
     built = [
         Liouvillian(params=p, superop=s[k], eigenvalues=eigvals[k],
-                    spectral_radius=float(np.abs(eigvals[k]).max()))
+                    spectral_radius=float(np.abs(eigvals[k]).max()), dissipator=dissipator[k])
         for k, p in enumerate(points)
     ]
     return built[0] if isinstance(params, ModelParams) else built

@@ -102,15 +102,18 @@ def quadratic_coefficients(
 ) -> tuple[float, float, float]:
     """Coefficients (A, B, C) of the rate form in (alpha, beta) for the (p, q) state.
 
-    ``p`` and ``q`` may be arrays that broadcast against each other.  A
+    ``p`` and ``q`` may be arrays that broadcast against each other.  Every
+    power is formed by multiplication, which rounds alike for scalars and
+    arrays and for ``p`` and ``-p``, so the form is exactly even in each.  A
     coefficient that is not finite (it overflows at very large rates) raises
     :class:`NumericalInvariantError`.
     """
     g1, g2, eta = params.gamma1, params.gamma2, params.eta
     with np.errstate(over="ignore", invalid="ignore"):
-        a = 2.0 * (g2 * p**4 + (p**2 - 1.0) ** 2 * g1)
-        c = 2.0 * eta**2 * (g2 * q**4 + (q**2 - 1.0) ** 2 * g1)
-        b = -2.0 * eta * (g1 + g2) * (p**2 * (2.0 * q**2 - 1.0) - q**2)
+        p2, q2 = p * p, q * q
+        a = 2.0 * (g2 * (p2 * p2) + (p2 - 1.0) * (p2 - 1.0) * g1)
+        c = 2.0 * (eta * eta) * (g2 * (q2 * q2) + (q2 - 1.0) * (q2 - 1.0) * g1)
+        b = -2.0 * eta * (g1 + g2) * (p2 * (2.0 * q2 - 1.0) - q2)
     if not all(np.isfinite(x).all() for x in (a, b, c)):
         raise NumericalInvariantError(
             f"rate form coefficients A, B, C are not finite at {params.label()}"
@@ -310,11 +313,12 @@ def _symmetric_axis(n: int) -> np.ndarray:
 def _short_time_negativities(
     step: list[np.ndarray], p: np.ndarray, q: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Fill ``out`` with the negativity after ``step = [exp(tau S)]`` from the (p, q) product states.
+    """Fill ``out`` with the negativity after ``step = [exp(tau D)]`` from (p, q) product states.
 
     The states are built, propagated and measured ``_CONFIRM_BLOCK`` at a
-    time, as stacks, through :func:`product_state` and the sampling loop.
-    Returns ``out``, which must have the size of ``p`` and ``q``.
+    time, as real stacks, through :func:`product_state` and the sampling
+    loop, in the frame rotating at omega, whose local unitary keeps the
+    negativity.  Returns ``out``, which must have the size of ``p`` and ``q``.
     """
     for start in range(0, p.size, _CONFIRM_BLOCK):
         rho0 = product_state(p[start:start + _CONFIRM_BLOCK], q[start:start + _CONFIRM_BLOCK])
@@ -375,8 +379,8 @@ def region_scan(
     liou = build_liouvillian(params)
     flagged = np.argwhere(entangling)
     i, j = flagged[_pick(flagged.shape[0], min(spot_checks, flagged.shape[0]), seed)].T
-    # exp(tau S), built once for the spot checks and the confirmation column
-    step = [matrix_exp(liou.superop, confirm_tau)] if i.size or confirm_dynamics else []
+    # exp(tau D), built once for the spot checks and the confirmation column
+    step = [matrix_exp(liou.dissipator, confirm_tau)] if i.size or confirm_dynamics else []
     checks: list[dict] = []
     direct = _short_time_negativities(step, axis[i], axis[j], np.empty(i.size))
     for p, q, neg in zip(axis[i], axis[j], direct):

@@ -433,10 +433,11 @@ def xi_value(superop, rho0, psi, t):
 def reference_region_scan(gamma1, gamma2, eta, prop, n):
     """``(entangling, excess, negativity)`` on the n x n (p, q) grid, one point at a time.
 
-    The closed-form discriminant ``B^2 - 4AC`` of each point, and the
-    negativity of its product state propagated by the 16x16 ``prop``
-    (``exp(tau S)``), from the eigenvalues of the Hermitian part of the HO
-    partial transpose.
+    The closed-form discriminant ``B^2 - 4AC`` of each point, its powers
+    formed by multiplication, and the negativity of its product state
+    propagated by the 16x16 ``prop`` (``exp(tau S)``, or ``exp(tau D)`` in
+    the frame rotating at omega), from the eigenvalues of the Hermitian part
+    of the HO partial transpose.  The state arithmetic is in ``prop``'s dtype.
     """
     axis = np.linspace(-1.0, 1.0, n)
     axis = (axis - axis[::-1]) / 2.0
@@ -445,12 +446,14 @@ def reference_region_scan(gamma1, gamma2, eta, prop, n):
     neg = np.zeros((n, n))
     for i, p in enumerate(axis):
         for j, q in enumerate(axis):
-            a = 2.0 * (gamma2 * p**4 + (p**2 - 1.0) ** 2 * gamma1)
-            c = 2.0 * eta**2 * (gamma2 * q**4 + (q**2 - 1.0) ** 2 * gamma1)
-            b = -2.0 * eta * (gamma1 + gamma2) * (p**2 * (2.0 * q**2 - 1.0) - q**2)
+            p2, q2 = p * p, q * q
+            a = 2.0 * (gamma2 * (p2 * p2) + (p2 - 1.0) * (p2 - 1.0) * gamma1)
+            c = 2.0 * (eta * eta) * (gamma2 * (q2 * q2) + (q2 - 1.0) * (q2 - 1.0) * gamma1)
+            b = -2.0 * eta * (gamma1 + gamma2) * (p2 * (2.0 * q2 - 1.0) - q2)
             excess[i, j] = b * b - 4.0 * a * c
             entangling[i, j] = excess[i, j] > 0.0
-            phi = np.kron([p, np.sqrt(1.0 - p * p)], [q, np.sqrt(1.0 - q * q)]).astype(complex)
+            phi = np.kron([p, np.sqrt(1.0 - p * p)], [q, np.sqrt(1.0 - q * q)])
+            phi = phi.astype(prop.dtype)
             rho = (prop @ np.outer(phi, phi.conj()).reshape(-1, order="F")).reshape(4, 4, order="F")
             rho = (rho + rho.conj().T) / 2
             pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)

@@ -13,6 +13,7 @@ from bathlink.cli import main
 from bathlink.correlations import mutual_information
 from bathlink.dynamics import evolve_exact, product_state
 from bathlink.model import ModelParams, build_liouvillian
+from oracles import propagate
 
 REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "simulate_x.csv"
 
@@ -80,6 +81,25 @@ def test_simulate_states_out(tmp_path):
     lines = states.read_text().splitlines()
     assert lines[0].startswith("t,re_rho_00,im_rho_00")
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("omega", [0.7, 5.0])
+def test_exact_states_out_is_the_lab_frame(tmp_path, omega):
+    # the exact route steps and measures the frame rotating at omega; the
+    # states file holds the lab frame, where exp(-i omega t k) is far from 1
+    out, states = tmp_path / "sim.csv", tmp_path / "states.csv"
+    assert main(["simulate", "--gamma1", "1.3", "--gamma2", "0.4", "--omega", str(omega),
+                 "--eta", "0.8", "--p", "0.6", "--q", "-0.4", "--t-max", "6",
+                 "--samples", "30", "--out", str(out), "--states-out", str(states)]) == 0
+    _, rows = read_csv(states)
+    rows = np.array(rows)
+    written = (rows[:, 1:33:2] + 1j * rows[:, 2:33:2]).reshape(-1, 4, 4)
+    liou = build_liouvillian(ModelParams.from_rates(1.3, 0.4, 0.8, omega))
+    rho0 = product_state(0.6, -0.4)
+    direct = np.array([propagate(liou.superop, rho0, t) for t in rows[:, 0]])
+    # 12 printed digits round each entry by at most 5e-13
+    assert np.abs(written - direct).max() < 1e-12
+    assert np.abs(written[1:].imag).max() > 0.01
 
 
 @pytest.mark.parametrize("method", ["exact", "rk4"])
@@ -413,7 +433,7 @@ def test_heatmap_temperature_axis_matches_per_value_runs(tmp_path):
         liou = build_liouvillian(ModelParams.from_temperature(1.0, temperature, 0.6, 0.001))
         traj = evolve_exact(liou, product_state(0.6, 0.3), times)
         blocks.append(np.column_stack(
-            [times, np.full(times.size, temperature), mutual_information(traj.states)]
+            [times, np.full(times.size, temperature), mutual_information(traj.frame_states)]
         ))
     ref = tmp_path / "ref.csv"
     write_table(str(ref), "csv", ["t", "axis_value", "observable"], np.concatenate(blocks))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bathlink.correlations import mutual_information, negativity
+from bathlink.correlations import discord, mutual_information, negativity
 from bathlink.dynamics import (
     HERM_TOL,
     PSD_TOL,
@@ -15,7 +15,7 @@ from bathlink.dynamics import (
 from bathlink.errors import ConfigError, NumericalInvariantError, StabilityError
 from bathlink.matops import trace_norm
 from bathlink.model import ModelParams, build_liouvillian, steady_state_analytic
-from oracles import max_abs_diff, propagate, rk4_stage_states
+from oracles import max_abs_diff, propagate, random_density, rk4_stage_states
 
 
 def ket_projector(index):
@@ -266,6 +266,67 @@ def test_equal_coupling_conserves_antisymmetric_population(canonical_liouvillian
     assert abs(pop0 - 0.5) < 1e-12
     assert abs(pop_t - pop0) < 1e-9
     assert negativity(rho_t) > 0.1
+
+
+# ------------------------------------------------------- the rotating frame
+
+@pytest.mark.parametrize("omega", [0.7, 5.0])
+def test_exact_states_are_the_lab_frame_states(omega):
+    # stepped in the frame rotating at omega and read in the lab frame; at
+    # these omegas the phase exp(-i omega t k) is far from 1, so a wrong sign
+    # or a wrong coherence order would show
+    liou = build_liouvillian(ModelParams.from_rates(1.3, 0.4, 0.8, omega))
+    times = np.linspace(0.0, 6.0, 31)
+    for rho0 in (product_state(0.6, -0.4), random_density(np.random.default_rng(11))):
+        traj = evolve_exact(liou, rho0, times)
+        direct = np.array([propagate(liou.superop, rho0, float(t)) for t in times])
+        assert traj.frame_omega == omega
+        assert max_abs_diff(traj.states, direct) < 1e-12
+        assert max_abs_diff(traj.final_state, direct[-1]) < 1e-12
+
+
+def test_exact_frame_states_of_a_real_start_are_real():
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, 0.6, 0.7))
+    traj = evolve_exact(liou, product_state(0.6, 0.3), np.linspace(0.0, 6.0, 11))
+    assert traj.frame_states.dtype == np.float64
+    assert np.abs(traj.frame_states - traj.frame_states.swapaxes(1, 2)).max() < 1e-15
+    assert traj.states.dtype == np.complex128
+
+
+def test_rk4_and_given_trajectories_are_in_the_lab_frame(canonical_liouvillian):
+    traj = evolve_rk(canonical_liouvillian, product_state(0.6, 0.3), 1.0, steps=100, samples=4)
+    assert traj.frame_omega == 0.0 and traj.states is traj.frame_states
+    given_states = Trajectory(traj.times, traj.states)
+    assert given_states.frame_omega == 0.0
+    assert np.array_equal(given_states.states, traj.states)
+
+
+def _omega_draws(count):
+    """``count`` generic points: rates in [0.1, 2], eta in [0.2, 1.5], p and q in
+    [-1, 1] and two omegas in [0.001, 3], from numpy seed 5."""
+    rng = np.random.default_rng(5)
+    return [pytest.param(*rng.uniform(0.1, 2.0, 2), rng.uniform(0.2, 1.5),
+                         *rng.uniform(-1.0, 1.0, 2), *rng.uniform(0.001, 3.0, 2), id=f"draw{k}")
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("gamma1, gamma2, eta, p, q, omega_a, omega_b", _omega_draws(20))
+def test_lab_frame_measures_do_not_depend_on_omega(gamma1, gamma2, eta, p, q, omega_a, omega_b):
+    # omega enters the lab-frame states only through a local unitary, which
+    # keeps every measure; rk4 steps at h = 4/16400, where its truncation
+    # error, which does depend on omega, is below rounding
+    rho0 = product_state(p, q)
+    times = np.linspace(0.0, 4.0, 42)
+    measured = {"exact": [], "rk4": []}
+    for omega in (omega_a, omega_b):
+        liou = build_liouvillian(ModelParams.from_rates(gamma1, gamma2, eta, omega))
+        for route, traj in (("exact", evolve_exact(liou, rho0, times)),
+                            ("rk4", evolve_rk(liou, rho0, 4.0, steps=16400, samples=41))):
+            c = discord(traj.states)
+            measured[route].append(np.stack([c.negativity, c.mutual_info, c.discord,
+                                             c.classical_corr]))
+    for route, (first, second) in measured.items():
+        assert np.abs(first - second).max() <= 2e-13, route
 
 
 # ------------------------------------------------------------- trajectories

@@ -199,6 +199,35 @@ def test_matrix_exp_matches_scipy_on_canonical_liouvillians(eta):
         assert gap <= 1e-14, (t, gap)
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+def test_matrix_exp_keeps_a_real_dissipator_real(eta):
+    from bathlink.matops import matrix_exp
+
+    dissipator = build_liouvillian(ModelParams.from_rates(1.01, 0.01, eta, 0.7)).dissipator
+    assert matrix_exp(dissipator, 0.0).dtype == np.float64
+    for t in (1e-4, 0.024, 6.0):
+        out = matrix_exp(dissipator, t)
+        assert out.dtype == np.float64
+        assert np.abs(out - expm(t * dissipator)).max() <= 1e-14
+
+
+def test_transposes_and_traces_keep_real_states_real():
+    rho = bell_state("phi-").real
+    assert partial_transpose_second(rho).dtype == np.float64
+    assert partial_trace(rho, "first").dtype == partial_trace(rho, "second").dtype == np.float64
+    assert unvec(vec(rho)).dtype == np.float64
+    assert partial_transpose_second(bell_state("phi-")).dtype == np.complex128
+
+
+def test_complex_to_real_cast_is_an_error():
+    # numpy drops the imaginary part of such a cast with only a ComplexWarning,
+    # a RuntimeWarning subclass, which the suite's filters make an error
+    complex_warning = getattr(np, "exceptions", np).ComplexWarning
+    real = np.ones(2)
+    with pytest.raises(complex_warning):
+        real[:] = np.array([1.0 + 1.0j, 2.0])
+
+
 @pytest.mark.parametrize("case", ["powers_overflow", "result_overflows", "nan_entry"])
 def test_matrix_exp_rejects_non_finite_result(case, canonical_liouvillian):
     from bathlink.matops import matrix_exp

@@ -298,6 +298,57 @@ def test_build_rejects_a_growing_mode(monkeypatch):
         build_liouvillian(params)
 
 
+_FRAME_OMEGAS = [0.001, 0.0033, 0.7, 5.0, 1e-320, 1e200]
+
+
+@pytest.mark.parametrize("omega", _FRAME_OMEGAS)
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0, 1.3])
+def test_generator_splits_into_the_frame_rotation_and_a_real_dissipator(omega, eta):
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, eta, omega))
+    assert liou.dissipator.dtype == np.float64
+    assert np.array_equal(liou.dissipator, liou.superop.real)
+    rotation = liou.superop.imag
+    assert np.array_equal(rotation, np.diag(np.diag(rotation)))
+    assert np.abs(np.diag(rotation) + omega * _ORDER).max() <= np.spacing(omega)
+    # D commutes with diag(k): it couples no two coherence orders
+    assert not liou.dissipator[_CROSS].any()
+
+
+@pytest.mark.parametrize("omega", [0.001, 0.7, 5.0, 1e-320, 1e200])
+def test_build_rejects_a_hamiltonian_that_is_not_a_frame_rotation(monkeypatch, omega):
+    params = ModelParams.from_rates(1.01, 0.01, 0.6, omega)
+    qubit = model._H_QUBIT
+    # the qubit at omega in place of omega/2: H no longer commutes with D's
+    # frame, and the omega relation breaks by 8e-3 in negativity
+    monkeypatch.setattr(model, "_H_QUBIT", 2.0 * qubit)
+    with pytest.raises(NumericalInvariantError, match="not the frame rotation") as info:
+        build_liouvillian(params)
+    assert str(info.value).endswith(f"at {params.label()}")
+    # the level differences are held to FRAME_ULPS = 4 units in the last place
+    # of omega: a qubit detuned by 2^-52 (at most 1 of them) passes, one detuned
+    # by 2^-49 (8 to 16 of them) fails
+    monkeypatch.setattr(model, "_H_QUBIT", (1.0 + 2.0**-52) * qubit)
+    build_liouvillian(params)
+    monkeypatch.setattr(model, "_H_QUBIT", (1.0 + 2.0**-49) * qubit)
+    if omega > 1e-300:  # a subnormal omega rounds the detuning away
+        with pytest.raises(NumericalInvariantError, match="not the frame rotation"):
+            build_liouvillian(params)
+
+
+def test_build_rejects_an_imaginary_dissipator_entry(monkeypatch):
+    lift = model._lift_dissipator
+
+    def twisted(rate, jump):
+        out = lift(rate, jump).copy()
+        out[..., 6, 9] += 1e-3j  # rho_21 from rho_12: the same order, but not real
+        return out
+
+    monkeypatch.setattr(model, "_lift_dissipator", twisted)
+    with pytest.raises(NumericalInvariantError,
+                       match=r"not the frame rotation .*off by 2\.000e-03"):
+        build_liouvillian(ModelParams.from_rates(1.01, 0.01, 0.6, 0.001))
+
+
 def test_stacked_build_matches_the_per_value_oracle():
     # one broadcast lift for every point, bitwise equal to one np.kron build per point
     rng = np.random.default_rng(909)
@@ -453,7 +504,7 @@ def test_steady_state_numeric_holds_a_traceless_kernel_to_1e_14():
         superop = (np.outer(kernel, kernel) - np.eye(16)).astype(complex)
         return model.Liouvillian(params=ModelParams.from_rates(1.01, 0.01, 0.6, 0.001),
                                  superop=superop, eigenvalues=np.linalg.eigvals(superop),
-                                 spectral_radius=1.0)
+                                 spectral_radius=1.0, dissipator=superop.real)
 
     assert steady_state_numeric(generator(1e-13)).null_space_dim == 1
     with pytest.raises(DegenerateSteadyStateError, match="eigenvector is traceless"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bathlink._format import write_table
 from bathlink.correlations import negativity
@@ -303,30 +304,50 @@ def _rates_at(eta):
     return ModelParams.from_rates(gamma1=1.01, gamma2=0.01, eta=eta, omega=0.001)
 
 
-@pytest.mark.parametrize("params, tau, excess_ulps", [
-    pytest.param(_rates_at(1.0), DEFAULT_CONFIRM_TAU, 0, id="1.0"),
-    pytest.param(_rates_at(0.6), DEFAULT_CONFIRM_TAU, 0, id="0.6"),
-    pytest.param(_rates_at(0.0), DEFAULT_CONFIRM_TAU, 0, id="0.0"),
-    # numpy's array power rounds q**4 an ulp away from the oracle's scalar
-    # power at q = 7/13 (n = 40); at these rates that moves the excess by up
-    # to an ulp of its largest entry
-    pytest.param(ModelParams.from_temperature(zeta=1.0, temperature=0.7, eta=0.8, omega=0.001),
-                 DEFAULT_CONFIRM_TAU, 1, id="T0.7-eta0.8"),
-    pytest.param(_rates_at(0.6), 0.05, 0, id="0.6-tau0.05"),
+_T07_ETA08 = ModelParams.from_temperature(zeta=1.0, temperature=0.7, eta=0.8, omega=0.001)
+
+
+@pytest.mark.parametrize("params, tau", [
+    pytest.param(_rates_at(1.0), DEFAULT_CONFIRM_TAU, id="1.0"),
+    pytest.param(_rates_at(0.6), DEFAULT_CONFIRM_TAU, id="0.6"),
+    pytest.param(_rates_at(0.0), DEFAULT_CONFIRM_TAU, id="0.0"),
+    pytest.param(_T07_ETA08, DEFAULT_CONFIRM_TAU, id="T0.7-eta0.8"),
+    pytest.param(_rates_at(0.6), 0.05, id="0.6-tau0.05"),
 ])
 @pytest.mark.parametrize("n", [2, 11, 40, 121])
-def test_region_scan_matches_per_point_reference(n, params, tau, excess_ulps):
+def test_region_scan_matches_per_point_reference(n, params, tau):
     scan = region_scan(params, n=n, spot_checks=0, confirm_dynamics=True, confirm_tau=tau)
-    # the same propagator as region_scan, so the per-point loop, which evolves
-    # every point, is compared bit for bit with the batched scan and its
-    # parity-mirrored half; matrix_exp has its own oracle tests
+    # the scan's own propagator, exp(tau D) in the rotating frame, so the
+    # per-point loop, which evolves every point, is compared bit for bit with
+    # the batched scan and its parity-mirrored half; matrix_exp has its own
+    # oracle tests, and the lab-frame agreement is tested below
     entangling, excess, neg = reference_region_scan(
         params.gamma1, params.gamma2, params.eta,
-        matrix_exp(build_liouvillian(params).superop, tau), n,
+        matrix_exp(build_liouvillian(params).dissipator, tau), n,
     )
     assert np.array_equal(scan.entangling, entangling)
-    assert np.all(np.abs(scan.excess - excess) <= excess_ulps * np.spacing(np.abs(excess).max()))
+    assert np.array_equal(scan.excess, excess)
     assert np.array_equal(scan.confirm_negativity, neg)
+
+
+@pytest.mark.parametrize("params", [_rates_at(1.0), _rates_at(0.6), _T07_ETA08,
+                                    ModelParams.from_rates(1.3, 0.4, 0.8, 5.0)],
+                         ids=["1.0", "0.6", "T0.7-eta0.8", "omega5"])
+def test_region_column_matches_lab_frame_evolution(params):
+    # the column is evolved in the frame rotating at omega; the oracle evolves
+    # every point in the lab frame with scipy's expm of the complex generator
+    scan = region_scan(params, n=21, spot_checks=0, confirm_dynamics=True, confirm_tau=0.05)
+    neg = reference_region_scan(params.gamma1, params.gamma2, params.eta,
+                                expm(0.05 * build_liouvillian(params).superop), 21)[2]
+    assert np.abs(scan.confirm_negativity - neg).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [40, 201])
+def test_region_excess_is_mirror_symmetric(n):
+    # every power in the rate form is a product, so (p, q) and (-p, -q) round alike
+    excess = region_scan(_T07_ETA08, n=n, spot_checks=0).excess
+    assert np.array_equal(excess, excess[::-1, ::-1])
+    assert np.array_equal(excess, excess[::-1, :]) and np.array_equal(excess, excess[:, ::-1])
 
 
 def test_region_scan_spot_checks_match_confirmation_column(canonical_params):
