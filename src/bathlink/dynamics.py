@@ -7,7 +7,9 @@ exponential route is exact up to ``expm`` accuracy and the integrator's job
 is independent verification.  Both step their states through one sampling
 loop, one 16x16 map per interval, and every trajectory is checked as a stack
 of density matrices by :func:`validate_density_matrix`, which also returns
-the trace and least eigenvalue that the tables print.
+the traces that the tables print; it proves positivity with one Cholesky
+factorization, and a trajectory's least eigenvalues are computed only when
+read (:attr:`Trajectory.min_eig`).
 
 The exact route steps the states in the frame rotating at omega, with the
 real dissipator ``D`` of ``S = D - i omega diag(k)``: a state from real
@@ -26,6 +28,7 @@ import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,20 +49,23 @@ PSD_TOL = -1e-8
 
 def validate_density_matrix(
     rho: np.ndarray, context: str = "state", times: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check finite entries, unit trace, Hermiticity, and positivity; return what was tested.
+) -> np.ndarray:
+    """Check finite entries, unit trace, Hermiticity, and positivity; return the traces.
 
     The tolerances are ``TRACE_TOL``, ``HERM_TOL`` and ``PSD_TOL``.  ``rho``
-    is one state ``(4, 4)`` or a stack ``(N, 4, 4)``, checked with one
-    stacked eigensolver call; a state with a non-finite entry fails as such.
-    The first failing state of a stack is named by its time in ``times``
-    when given, else by its index.  A valid ``rho`` gives the real part of
-    each trace and each least eigenvalue, of shape ``()`` or ``(N,)``.
+    is one state ``(4, 4)`` or a stack ``(N, 4, 4)``; a state with a
+    non-finite entry fails as such.  The first failing state of a stack is
+    named by its time in ``times`` when given, else by its index.  A valid
+    ``rho`` gives the real part of each trace, of shape ``()`` or ``(N,)``.
 
-    The eigenvalues are those of ``rho`` as stored (``eigvalsh`` reads its
-    lower triangle), not of its Hermitian part.  Both differ by at most
-    ``sqrt(3) * HERM_TOL`` (Weyl's inequality) once Hermiticity holds, far
-    inside ``PSD_TOL``.
+    Positivity, ``lambda_min > PSD_TOL``, is proved by one stacked Cholesky
+    factorization of ``rho - PSD_TOL * 1``, which exists exactly when that
+    matrix is positive definite.  Only when it fails do the eigenvalues
+    decide, from one stacked ``eigvalsh`` call, and name the first state at
+    or below ``PSD_TOL``.  Both read the lower triangle of ``rho`` as stored,
+    so they test the stored matrix, not its Hermitian part; the two spectra
+    differ by at most ``sqrt(3) * HERM_TOL`` (Weyl's inequality) once
+    Hermiticity holds, far inside ``PSD_TOL``.
     """
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
@@ -70,10 +76,13 @@ def validate_density_matrix(
     tr = np.trace(stack, axis1=1, axis2=2)
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    bad = ~finite | (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL)
+    if not bad.any() and _positive_definite(stack - PSD_TOL * np.eye(4)):
+        return tr.real.reshape(rho.shape[:-2])
     min_eig = np.linalg.eigvalsh(stack).min(axis=1)
-    bad = ~finite | (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL) | (min_eig <= PSD_TOL)
+    bad |= min_eig <= PSD_TOL
     if not bad.any():
-        return tr.real.reshape(rho.shape[:-2]), min_eig.reshape(rho.shape[:-2])
+        return tr.real.reshape(rho.shape[:-2])
     k = int(np.argmax(bad))
     if rho.ndim == 3:
         context = f"{context} at t={times[k]:g}" if times is not None else f"{context} {k}"
@@ -84,6 +93,15 @@ def validate_density_matrix(
     if herm_dev[k] >= HERM_TOL:
         raise NumericalInvariantError(f"{context}: Hermiticity deviation {herm_dev[k]:.3e}")
     raise NumericalInvariantError(f"{context}: negative eigenvalue {min_eig[k]:.3e}")
+
+
+def _positive_definite(stack: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of every matrix of ``stack`` exists."""
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _check_amplitudes(p: float | np.ndarray, q: float | np.ndarray) -> None:
@@ -115,18 +133,17 @@ class Trajectory:
     ``times`` is strictly increasing with ``times[0] = 0``.  ``frame_states``
     are the states as propagated, in the frame rotating at ``frame_omega``
     (0, the lab frame, unless given): every one satisfies the density-matrix
-    invariants as stored, and ``trace`` (real part) and ``min_eig`` hold what
-    :func:`validate_density_matrix` measured of each.  :attr:`states` and
-    :attr:`final_state` are the lab-frame states,
-    ``rho_ij = exp(-i frame_omega t k_ij) frame_rho_ij`` with ``k_ij`` the
-    coherence order of entry (i, j), formed when read.
+    invariants as stored, and ``trace`` holds the real part of each trace
+    that :func:`validate_density_matrix` tested.  :attr:`min_eig` is computed
+    when first read.  :attr:`states` and :attr:`final_state` are the
+    lab-frame states, ``rho_ij = exp(-i frame_omega t k_ij) frame_rho_ij``
+    with ``k_ij`` the coherence order of entry (i, j), formed when read.
     """
 
     times: np.ndarray
     frame_states: np.ndarray = field(repr=False)
     frame_omega: float
     trace: np.ndarray = field(repr=False)
-    min_eig: np.ndarray = field(repr=False)
 
     def __init__(self, times: np.ndarray, states: np.ndarray, frame_omega: float = 0.0):
         times = np.asarray(times, dtype=float)
@@ -137,11 +154,19 @@ class Trajectory:
             )
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise NumericalInvariantError("times must start at 0 and increase strictly")
-        trace, min_eig = validate_density_matrix(states, times=times)
+        trace = validate_density_matrix(states, times=times)
         for name, value in (("times", times), ("frame_states", states),
-                            ("frame_omega", float(frame_omega)), ("trace", trace),
-                            ("min_eig", min_eig)):
+                            ("frame_omega", float(frame_omega)), ("trace", trace)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def min_eig(self) -> np.ndarray:
+        """The least eigenvalue of each state as stored, ``(N,)``.
+
+        Taken of the frame states, whose spectra are those of the lab-frame
+        states: the frame's local unitary keeps the spectrum.
+        """
+        return np.linalg.eigvalsh(self.frame_states).min(axis=1)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -249,12 +274,18 @@ def _noting(note: str):
 
 
 def _maps(generators: list[Liouvillian], dt: float) -> np.ndarray:
-    """``exp(dt D)`` of each generator's real dissipator, as one ``(K, 16, 16)`` stack."""
-    maps = np.empty((len(generators), 16, 16))
-    for k, liouvillian in enumerate(generators):
-        with _noting(f"generator at {liouvillian.params.label()}"):
-            maps[k] = matrix_exp(liouvillian.dissipator, dt)
-    return maps
+    """``exp(dt D)`` of each generator's real dissipator, as one ``(K, 16, 16)`` stack.
+
+    One stacked :func:`matrix_exp`; when it fails, the maps are retaken one
+    by one so that the error names the first generator whose map fails.
+    """
+    try:
+        return matrix_exp(np.array([g.dissipator for g in generators]).reshape(-1, 16, 16), dt)
+    except NumericalInvariantError:
+        for liouvillian in generators:
+            with _noting(f"generator at {liouvillian.params.label()}"):
+                matrix_exp(liouvillian.dissipator, dt)
+        raise
 
 
 def evolve_exact(
@@ -302,7 +333,8 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     """Write ``t,re_rho_00,im_rho_00,...,im_rho_33,trace,min_eig`` rows.
 
     The 16 complex entries appear row-major as interleaved re/im columns;
-    ``trace`` and ``min_eig`` are the values the state check tested.
+    ``trace`` is the value the state check tested and ``min_eig`` the least
+    eigenvalue of each state (:attr:`Trajectory.min_eig`).
     """
     columns = ["t"]
     for i in range(4):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bathlink.dynamics as dynamics
 from bathlink.correlations import discord, mutual_information, negativity
 from bathlink.dynamics import (
     HERM_TOL,
@@ -329,6 +330,36 @@ def test_lab_frame_measures_do_not_depend_on_omega(gamma1, gamma2, eta, p, q, om
         assert np.abs(first - second).max() <= 2e-13, route
 
 
+def _exact_measures(gamma1, gamma2, eta, omega, p, q, times):
+    """Negativity, mutual information, discord and classical correlation of
+    the exact trajectory from ``product_state(p, q)``, ``(4, len(times))``."""
+    liou = build_liouvillian(ModelParams.from_rates(gamma1, gamma2, eta, omega))
+    c = discord(evolve_exact(liou, product_state(p, q), times).states)
+    return np.stack([c.negativity, c.mutual_info, c.discord, c.classical_corr])
+
+
+@pytest.mark.parametrize("gamma1, gamma2, eta, p, q, omega, _", _omega_draws(20))
+def test_measures_are_invariant_under_a_change_of_time_scale(gamma1, gamma2, eta, p, q, omega, _):
+    # the generator is linear in the rates and omega: times c scales it by c,
+    # so the states at t / c are those at t
+    times = np.linspace(0.0, 4.0, 42)
+    c = 7.3
+    gap = np.abs(_exact_measures(gamma1, gamma2, eta, omega, p, q, times)
+                 - _exact_measures(c * gamma1, c * gamma2, eta, c * omega, p, q, times / c))
+    assert gap.max() <= 2e-13
+
+
+@pytest.mark.parametrize("gamma1, gamma2, eta, p, q, omega, _", _omega_draws(20))
+def test_negativity_and_mutual_information_are_symmetric_under_swapping_q_and_ho(
+        gamma1, gamma2, eta, p, q, omega, _):
+    # swapped, sigma_-^Q + eta sigma_-^HO is eta (sigma_-^Q + sigma_-^HO / eta),
+    # and H is swap-symmetric; discord measures HO only, so it is left out
+    times = np.linspace(0.0, 4.0, 42)
+    direct = _exact_measures(gamma1, gamma2, eta, omega, p, q, times)
+    swapped = _exact_measures(eta**2 * gamma1, eta**2 * gamma2, 1.0 / eta, omega, q, p, times)
+    assert np.abs(direct[:2] - swapped[:2]).max() <= 2e-13
+
+
 # ------------------------------------------------------------- trajectories
 
 def test_trajectory_validates_times():
@@ -347,14 +378,62 @@ def test_trajectory_names_the_time_of_a_bad_state():
         Trajectory(times=np.array([0.0, 0.1, 0.2, 0.3]), states=states)
 
 
-def test_validate_returns_the_trace_and_least_eigenvalue_it_tested():
+def test_validate_returns_the_trace_it_tested():
     states = np.stack([product_state(1.0, 0.0), np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)])
-    trace, min_eig = validate_density_matrix(states)
-    assert trace.shape == min_eig.shape == (2,)
-    assert np.array_equal(trace, [1.0, 1.0]) and np.array_equal(min_eig, [0.0, 0.1])
-    trace, min_eig = validate_density_matrix(states[1])
-    assert trace.shape == min_eig.shape == ()
-    assert (trace, min_eig) == (1.0, 0.1)
+    trace = validate_density_matrix(states)
+    assert trace.shape == (2,) and np.array_equal(trace, [1.0, 1.0])
+    trace = validate_density_matrix(states[1])
+    assert trace.shape == () and trace == 1.0
+
+
+def _no_eigensolver(monkeypatch):
+    def eigvalsh(a):
+        raise AssertionError("eigvalsh was called")
+
+    monkeypatch.setattr(dynamics.np.linalg, "eigvalsh", eigvalsh)
+
+
+def test_validate_certifies_a_valid_stack_without_an_eigensolver(
+        monkeypatch, canonical_liouvillian):
+    # pure states have exact zero eigenvalues: without the shift by -PSD_TOL,
+    # or with its sign flipped, Cholesky fails on them and eigvalsh is called
+    _no_eigensolver(monkeypatch)
+    traj = evolve_exact(canonical_liouvillian, product_state(0.6, 0.3), np.linspace(0.0, 6.0, 251))
+    assert np.array_equal(validate_density_matrix(traj.frame_states), traj.trace)
+    validate_density_matrix(product_state(np.linspace(-1.0, 1.0, 9), 0.3))
+    validate_density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+def _edge_state(least: float) -> np.ndarray:
+    """A complex state of unit trace, exactly Hermitian, whose least eigenvalue is ``least``."""
+    rng = np.random.default_rng(22)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rho = u @ np.diag([0.6 - least, 0.3, 0.1, least]) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def test_validate_passes_just_above_psd_tol_and_raises_just_below(monkeypatch):
+    times = np.array([0.0, 1.0])
+    inside = np.stack([product_state(1.0, 0.0), _edge_state(0.99 * PSD_TOL)])
+    outside = np.stack([product_state(1.0, 0.0), _edge_state(1.01 * PSD_TOL)])
+    with monkeypatch.context() as patched:
+        _no_eigensolver(patched)
+        validate_density_matrix(inside[1])
+        Trajectory(times, inside)
+    with pytest.raises(NumericalInvariantError, match=r"^state: negative eigenvalue -1\.010e-08$"):
+        validate_density_matrix(outside[1])
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^state at t=1: negative eigenvalue -1\.010e-08$"):
+        Trajectory(times, outside)
+
+
+def test_trajectory_min_eig_is_the_least_eigenvalue_of_each_stored_state():
+    liou = build_liouvillian(ModelParams.from_rates(1.3, 0.4, 0.8, 0.7))
+    rho0 = product_state(0.6, 0.3)
+    for traj in (evolve_exact(liou, rho0, np.linspace(0.0, 2.0, 21)),
+                 evolve_rk(liou, rho0, 2.0, steps=400, samples=20)):
+        assert traj.min_eig is traj.min_eig
+        assert np.array_equal(traj.min_eig, np.linalg.eigvalsh(traj.frame_states).min(axis=1))
 
 
 def test_validate_raises_below_psd_tol_within_the_hermiticity_tolerance():

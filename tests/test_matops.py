@@ -211,6 +211,49 @@ def test_matrix_exp_keeps_a_real_dissipator_real(eta):
         assert np.abs(out - expm(t * dissipator)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("t", [6 / 250, 1e-4, 0.3, 5.0, 100.0])
+def test_matrix_exp_of_the_heatmap_sweep_stack_is_each_matrix_exp(t):
+    # the 41 real dissipators of the heatmap_sweep benchmark's eta axis
+    from bathlink.matops import matrix_exp
+
+    stack = np.stack([build_liouvillian(ModelParams.from_rates(1.01, 0.01, eta, 0.001)).dissipator
+                      for eta in np.linspace(0.0, 1.0, 41)])
+    out = matrix_exp(stack, t)
+    assert out.shape == stack.shape and out.dtype == np.float64
+    for k, dissipator in enumerate(stack):
+        assert np.array_equal(out[k], matrix_exp(dissipator, t)), k
+
+
+def test_matrix_exp_squares_each_matrix_of_a_stack_its_own_number_of_times():
+    from bathlink.matops import _pade_exp, matrix_exp
+
+    rng = np.random.default_rng(22)
+    stack = np.stack([np.zeros((16, 16)), 1e-3 * rng.normal(size=(16, 16)),
+                      40.0 * rng.normal(size=(16, 16)), rng.normal(size=(16, 16))])
+    scale = np.abs(stack).max(axis=(1, 2))[:, None, None]
+    stack = stack + 1j * scale * rng.normal(size=stack.shape)
+    _, squarings = _pade_exp(stack)
+    assert squarings[0] == squarings[1] == 0 and squarings[2] >= 6 and 0 < squarings[3]
+    out = matrix_exp(stack[None], 1.0)
+    assert out.shape == (1, 4, 16, 16)
+    for k, a in enumerate(stack):
+        assert np.array_equal(out[0, k], matrix_exp(a, 1.0)), k
+    assert np.array_equal(out[0, 0], np.eye(16))
+    assert np.array_equal(matrix_exp(stack, 0.0), np.broadcast_to(np.eye(16), stack.shape))
+
+
+def test_matrix_exp_of_a_stack_rejects_one_non_finite_result():
+    from bathlink.matops import matrix_exp
+
+    stack = np.stack([np.zeros((2, 2)), np.eye(2)])
+    assert np.isfinite(matrix_exp(stack, 700.0)).all()
+    with pytest.raises(NumericalInvariantError, match=r"^exp\(t A\) is not finite at t=1000$"):
+        matrix_exp(stack, 1000.0)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(NumericalInvariantError, match=r"^exp\(t A\) is not finite at t=1$"):
+        matrix_exp(stack, 1.0)
+
+
 def test_transposes_and_traces_keep_real_states_real():
     rho = bell_state("phi-").real
     assert partial_transpose_second(rho).dtype == np.float64
