@@ -1,4 +1,10 @@
-"""Deterministic text formatting and atomic writing of emitted data files."""
+"""Deterministic text formatting and atomic writing of emitted data files.
+
+Every float cell is rendered as :func:`fmt` renders it.  Long CSV tables
+format each column's distinct values once and join rows from those strings;
+short ones format every cell in one ``%`` call.  Files appear whole or not at
+all (:func:`atomic_write`).
+"""
 
 from __future__ import annotations
 
@@ -10,8 +16,10 @@ import numpy as np
 
 from .errors import NumericalInvariantError
 
-#: CSV rows formatted per ``%`` call: one call per row costs interpreter
-#: time, one for the whole table holds a second copy of its text.
+#: CSV rows formatted and written together: one call per row costs
+#: interpreter time, one for the whole table holds a second copy of its
+#: text.  A longer table formats each column's distinct values once
+#: (:func:`write_table`).
 _BLOCK_ROWS = 1024
 
 
@@ -62,6 +70,16 @@ def write_json(path: str, payload: dict) -> None:
         raise NumericalInvariantError(f"{path}: {exc}") from exc
 
 
+def _column_text(column: np.ndarray) -> list[str]:
+    """:func:`fmt`'s text of each cell of a 1-D column, one ``%`` per distinct value.
+
+    The column must hold no ``-0.0``.  ``np.unique`` gets a 1-D array: the
+    shape of its ``return_inverse`` for 2-D input changed in numpy 2.
+    """
+    values, inverse = np.unique(column, return_inverse=True)
+    return np.array(["%.12g" % x for x in values.tolist()], dtype=object)[inverse].tolist()
+
+
 def write_table(path: str, kind: str, columns: list[str], rows) -> None:
     """Write a numeric table as CSV (``kind="csv"``) or JSON (``kind="json"``).
 
@@ -69,6 +87,12 @@ def write_table(path: str, kind: str, columns: list[str], rows) -> None:
     JSON cells as the float it denotes, under ``{"columns": [...], "rows":
     [[...], ...]}``.  A NaN or infinite cell raises
     :class:`NumericalInvariantError` before any file is opened.
+
+    A CSV table of at most ``_BLOCK_ROWS`` rows is formatted by one ``%``
+    call.  A longer one has each column's distinct values formatted once
+    (the region and heatmap grids repeat most of theirs); its rows are then
+    joined from those strings, a block of ``_BLOCK_ROWS`` rows at a time.
+    Both routes give the same bytes.
     """
     # + 0.0 maps -0 to 0, so "%.12g" renders every cell as fmt does
     table = np.asarray(rows, dtype=float) + 0.0
@@ -82,9 +106,13 @@ def write_table(path: str, kind: str, columns: list[str], rows) -> None:
         write_json(path, {"columns": columns,
                           "rows": [[float(fmt(x)) for x in row] for row in table]})
         return
-    line = ",".join(["%.12g"] * len(columns)) + "\n"
     with atomic_write(path) as f:
         f.write(",".join(columns) + "\n")
+        if len(table) <= _BLOCK_ROWS:
+            line = ",".join(["%.12g"] * len(columns)) + "\n"
+            f.write((line * len(table)) % tuple(table.ravel().tolist()))
+            return
+        texts = [_column_text(column) for column in table.T]
         for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            f.write((line * len(block)) % tuple(block.ravel().tolist()))
+            rows = zip(*(text[start:start + _BLOCK_ROWS] for text in texts))
+            f.write("\n".join(map(",".join, rows)) + "\n")

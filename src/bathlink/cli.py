@@ -472,6 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a grid or sample count beyond memory, e.g. --n 10**14
+        print(f"config error: the requested size does not fit in memory ({exc})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

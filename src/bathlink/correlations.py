@@ -6,11 +6,16 @@ once as one :class:`Correlations` record of columns: a float per field for
 one state, an (N,) array per field for a stack.
 
 Negativity is computed from the eigenvalues of the partial transpose taken
-on the HO side.  Every call checks those eigenvalues as a whole spectrum:
-their first three power sums and their product must match the traces of the
-first three powers and the determinant of the partial transpose (Newton's
-identities), within ``SPECTRUM_TOL`` relative to the largest eigenvalue
-magnitude.
+on the HO side.  A state whose partial transpose a vectorized LDL^T
+factorization proves positive definite, by a margin of ``SPECTRUM_TOL``
+relative to its trace, has negativity 0.0 without an eigensolver call; a
+stack is split that way only where at least half of it is certified.  Every
+call checks each state's spectrum as a whole: its first three power sums
+and its product (from the eigenvalues, or for a certified state from the
+traces of the powers and the determinant of the Hermitian part) must match
+the traces of the first three powers and the determinant of the partial
+transpose (Newton's identities), within ``SPECTRUM_TOL`` relative to the
+largest eigenvalue magnitude.
 
 Discord minimizes the measured conditional entropy over projective
 measurements of the HO part, that is over Bloch axes ``n`` (``n`` and ``-n``
@@ -150,27 +155,85 @@ def _stack(rho: np.ndarray) -> tuple[np.ndarray, bool]:
 def negativity(rho: np.ndarray) -> float | np.ndarray:
     """Absolute sum of negative partial-transpose eigenvalues.
 
-    Equals ``(||rho^T_HO||_1 - tr rho)/2``.  The eigenvalues come from
-    ``eigvalsh`` of the Hermitian part of the partial transpose, and
-    :func:`_check_spectrum` holds them to the partial transpose itself within
-    ``SPECTRUM_TOL``.  Zero exactly for states with positive partial
-    transpose.  A float for one state, an (N,) array for a stack.
+    Equals ``(||rho^T_HO||_1 - tr rho)/2``, and is zero exactly for states
+    with positive partial transpose.  The eigenvalues come from ``eigvalsh``
+    of ``h``, the Hermitian part of the partial transpose, except on states
+    that :func:`_certified` proves to have ``lambda_min(h) > SPECTRUM_TOL
+    |tr rho|``: their value is 0.0, which is also what ``eigvalsh`` gives
+    them, since that margin is far above its error.  :func:`_check_spectrum`
+    holds every state's spectrum to the partial transpose itself.  A float
+    for one state, an (N,) array for a stack.
     """
     states, single = _stack(rho)
     pt = partial_transpose_second(states)
     h = pt + pt.conj().swapaxes(-1, -2)
     h /= 2
-    eigs = np.linalg.eigvalsh(h)
-    _check_spectrum(states, pt, eigs)
-    value = ((np.abs(eigs) - eigs) / 2.0).sum(axis=-1)
+    traces = _traces(states, pt)
+    certified = _certified(h, traces)
+    if certified is None:
+        solved = slice(None)
+        eigs = np.linalg.eigvalsh(h)
+        sums, scale = _power_sums(eigs)
+    else:
+        solved = np.flatnonzero(~certified)
+        sums, scale = np.empty((len(states), 4)), np.empty(len(states))
+        sums[certified], scale[certified] = _trace_sums(h[certified])
+        eigs = np.linalg.eigvalsh(h[solved]) if solved.size else np.empty((0, 4))
+        sums[solved], scale[solved] = _power_sums(eigs)
+    _check_spectrum(traces, sums, scale)
+    _check_one_negative(eigs, scale[solved], np.arange(len(states))[solved])
+    value = np.zeros(len(states))
+    value[solved] = ((np.abs(eigs) - eigs) / 2.0).sum(axis=-1)
     return float(value[0]) if single else value
+
+
+def _certified(h: np.ndarray, traces: np.ndarray) -> np.ndarray | None:
+    """The states whose ``h - SPECTRUM_TOL |tr rho| 1`` :func:`_positive_definite` proves
+    positive definite, as a mask; None where fewer than half of the stack are.
+
+    Solving part of a stack costs more than solving all of it unless that
+    part is at most about half.  ``traces`` are :func:`_traces`; a state
+    with ``det(pt) <= 0`` has an eigenvalue ``<= 0`` (up to rounding) and
+    cannot be certified, so where those are more than half the stack the
+    factorization is not run.
+    """
+    if 2 * np.count_nonzero(traces[:, 3].real > 0.0) < len(h):
+        return None
+    certified = _positive_definite(h, SPECTRUM_TOL * np.abs(traces[:, 0]))
+    return certified if 2 * np.count_nonzero(certified) >= len(h) else None
+
+
+def _positive_definite(h: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Whether each ``h - margin * 1`` of an (N, 4, 4) Hermitian stack has all LDL^H pivots > 0.
+
+    The factorization reads the lower triangle and runs without pivoting,
+    one (N,) column of entries at a time.  By Sylvester's law of inertia
+    positive pivots mean ``lambda_min(h) > margin``; rounding moves that
+    bound by a backward error of order ``5 * 2^-53`` times the largest
+    diagonal entry, at most ``|tr rho|``.  A zero, negative or non-finite
+    pivot certifies nothing.
+    """
+    lower = [[h[:, i, j] for j in range(i)] for i in range(4)]
+    pivots = [h[:, i, i].real - margin for i in range(4)]
+    positive = np.ones(len(h), dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(4):
+            positive &= pivots[k] > 0.0
+            # the Schur complement: a_ij -= a_ik conj(a_jk) / d_k for i >= j > k
+            scaled = {j: lower[j][k].conj() / pivots[k] for j in range(k + 1, 4)}
+            for i in range(k + 1, 4):
+                pivots[i] = pivots[i] - (lower[i][k] * scaled[i]).real
+                for j in range(k + 1, i):
+                    lower[i][j] = lower[i][j] - lower[i][k] * scaled[j]
+    return positive
 
 
 #: Largest gap between a power sum (or the product) of the computed
 #: eigenvalues and the trace of that power (or the determinant) of the
 #: partial transpose, relative to the power of the largest eigenvalue
 #: magnitude.  The gaps measured on random mixed and pure states and on the
-#: region and heatmap states stay below 5e-15.
+#: region and heatmap states stay below 5e-15.  Relative to ``|tr rho|``, it
+#: is also the margin by which :func:`_certified` proves a spectrum positive.
 SPECTRUM_TOL = 1e-12
 _IDENTITIES = (("sum of eigenvalues", "tr(rho)"), ("sum of squares", "tr(pt^2)"),
                ("sum of cubes", "tr(pt^3)"), ("product of eigenvalues", "det(pt)"))
@@ -191,28 +254,53 @@ def _det4(a: np.ndarray) -> np.ndarray:
     return (top * bottom[:, ::-1]) @ _LAPLACE_SIGNS
 
 
-def _check_spectrum(states: np.ndarray, pt: np.ndarray, eigs: np.ndarray) -> None:
-    """Raise unless each row of ``eigs`` is the spectrum of the partial transpose ``pt``.
-
-    ``sum lambda^k`` (k = 1, 2, 3) and ``prod lambda`` must match ``tr(pt^k)``
-    and ``det(pt)`` within ``SPECTRUM_TOL * s^k``, ``s`` the largest
-    ``|lambda|``; ``tr(pt)`` is taken as ``tr(rho)`` of ``states``, which
-    the partial transpose keeps.  By Newton's identities these four numbers
-    fix the characteristic polynomial, so every eigenvalue is checked.  The
-    traces are compared as complex numbers, so a ``pt`` that is not
-    Hermitian fails at first order in its anti-Hermitian part.  A two-qubit
-    partial transpose has at most one negative eigenvalue (Sanpera, Tarrach
-    & Vidal, PRA 58, 826 (1998)), so a second one below
-    ``-SPECTRUM_TOL * s`` fails too.  A non-finite gap fails.
-    """
-    pt2 = pt @ pt
-    traces = np.stack([np.einsum("nii->n", states), np.einsum("nii->n", pt2),
-                       np.einsum("nij,nji->n", pt2, pt), _det4(pt)], axis=-1)
+def _power_sums(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sums, s)``: the first three power sums and the product of each row of
+    ``eigs`` as (N, 4), and each row's largest ``|lambda|``."""
     squares = eigs * eigs
     sums = np.stack([eigs.sum(axis=-1), squares.sum(axis=-1), (squares * eigs).sum(axis=-1),
                      eigs.prod(axis=-1)], axis=-1)
-    scale = np.maximum(eigs[:, -1], -eigs[:, 0])[:, None] ** np.arange(1, 5)
-    bad = ~(np.abs(traces - sums) <= SPECTRUM_TOL * scale)
+    return sums, np.maximum(eigs[:, -1], -eigs[:, 0])
+
+
+def _trace_sums(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_power_sums` of the spectrum of each Hermitian ``h``, without its eigenvalues.
+
+    The power sums are ``tr(h^k)`` and the product is ``det(h)``; ``s`` is
+    ``sqrt(tr(h^2))/2``, which is at most the largest ``|lambda|`` of a 4x4
+    matrix, so no bound it scales is wider than the eigenvalue route's.
+    """
+    h2 = h @ h
+    sums = np.stack([np.einsum("nii->n", h), np.einsum("nii->n", h2),
+                     np.einsum("nij,nji->n", h2, h), _det4(h)], axis=-1).real
+    return sums, np.sqrt(sums[:, 1]) / 2.0
+
+
+def _traces(states: np.ndarray, pt: np.ndarray) -> np.ndarray:
+    """``tr(pt^k)`` (k = 1, 2, 3) and ``det(pt)`` of each partial transpose, as (N, 4).
+
+    ``tr(pt)`` is taken as ``tr(rho)`` of ``states``, which the partial
+    transpose keeps.
+    """
+    pt2 = pt @ pt
+    return np.stack([np.einsum("nii->n", states), np.einsum("nii->n", pt2),
+                     np.einsum("nij,nji->n", pt2, pt), _det4(pt)], axis=-1)
+
+
+def _check_spectrum(traces: np.ndarray, sums: np.ndarray, scale: np.ndarray) -> None:
+    """Raise unless each row of ``sums`` is that of the spectrum of the partial transpose.
+
+    ``sums`` holds ``sum lambda^k`` (k = 1, 2, 3) and ``prod lambda`` of the
+    spectrum of the partial transpose's Hermitian part, from
+    :func:`_power_sums` or :func:`_trace_sums`.  They must match ``traces``,
+    the ``tr(pt^k)`` and ``det(pt)`` of :func:`_traces`, within
+    ``SPECTRUM_TOL * s^k``, ``s`` the ``scale`` of the row.  By Newton's
+    identities these four numbers fix the characteristic polynomial, so
+    every eigenvalue is checked.  The traces are compared as complex
+    numbers, so a ``pt`` that is not Hermitian fails at first order in its
+    anti-Hermitian part.  A non-finite gap fails.
+    """
+    bad = ~(np.abs(traces - sums) <= SPECTRUM_TOL * scale[:, None] ** np.arange(1, 5))
     if bad.any():
         k, j = np.argwhere(bad)[0]
         ours, theirs = _IDENTITIES[j]
@@ -220,11 +308,20 @@ def _check_spectrum(states: np.ndarray, pt: np.ndarray, eigs: np.ndarray) -> Non
             f"negativity: state {k}: {ours} {sums[k, j]:.15g} does not match "
             f"{theirs} {complex(traces[k, j]):.15g}"
         )
-    second = eigs[:, 1] < -SPECTRUM_TOL * scale[:, 0]
+
+
+def _check_one_negative(eigs: np.ndarray, scale: np.ndarray, index: np.ndarray) -> None:
+    """Raise if a row of ``eigs``, the partial-transpose spectrum of state ``index[row]``,
+    has two eigenvalues below ``-SPECTRUM_TOL * scale``.
+
+    A two-qubit partial transpose has at most one negative eigenvalue
+    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)).
+    """
+    second = eigs[:, 1] < -SPECTRUM_TOL * scale
     if second.any():
         k = int(np.argmax(second))
         raise NumericalInvariantError(
-            f"negativity: state {k}: two negative partial-transpose eigenvalues "
+            f"negativity: state {index[k]}: two negative partial-transpose eigenvalues "
             f"{eigs[k, 0]:.3e} and {eigs[k, 1]:.3e}"
         )
 

@@ -787,6 +787,28 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     assert read_csv(out)[0][-1] == "negativity"
 
 
+# The first array of each run is 8e14 bytes, beyond a 2**47-byte address
+# space, so its allocation fails before any page is touched.
+HUGE = str(10**14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", *CANON, "--eta", "1", "--n", HUGE, "--confirm-dynamics"],
+    ["heatmap", *CANON, "--observable", "negativity", "--axis", "eta", "--axis-min", "0",
+     "--axis-max", "1", "--axis-steps", "3", "--p", "0.6", "--q", "0.3", "--t-max", "6",
+     "--samples", HUGE],
+    ["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0", "--t-max", "6",
+     "--samples", HUGE],
+], ids=["region_n", "heatmap_samples", "simulate_samples"])
+def test_a_run_beyond_memory_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the requested size does not fit in memory (")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------- misc
 
 def test_module_entrypoint_help():

@@ -223,6 +223,10 @@ MUTATIONS = [
 #: Mutations the spectrum check must catch on every state with complex entries.
 ALWAYS_CAUGHT = {"least_eigenvalue_plus_1e-9", "largest_eigenvalue_plus_1e-9",
                  "pt_entry_without_conj", "hermitian_part_without_conj"}
+#: Of those, the mutations of the eigensolver, which no state certified
+#: positive (``correlations._positive_definite``) reaches.
+EIGENSOLVER_MUTATIONS = {"least_eigenvalue_plus_1e-9", "largest_eigenvalue_plus_1e-9",
+                         "hermitian_part_without_conj"}
 
 
 @pytest.mark.parametrize("name, pt_of, eigvalsh", MUTATIONS, ids=[m[0] for m in MUTATIONS])
@@ -233,20 +237,136 @@ def test_spectrum_check_catches_every_mutation_the_svd_check_caught(
     complex_states = _random_states()[::4]
     states = np.concatenate([complex_states, bell_state("psi-")[None]])
     svd_caught = [_svd_check_fails(rho, pt_of, eigvalsh) for rho in states]
+    # the certified states: a least eigenvalue of the partial transpose clearly
+    # above the certificate's margin, SPECTRUM_TOL |tr rho|
+    least = _EIGVALSH(partial_transpose_second(complex_states))[:, 0]
+    certified = least > 1e-11
+    assert np.count_nonzero(certified) == 4
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
     monkeypatch.setattr(corr, "partial_transpose_second", pt_of)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    caught = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    caught, solved, values = [], [], []
     for rho in states:
+        calls.clear()
         try:
-            corr.negativity(rho)
+            values.append(corr.negativity(rho))
         except NumericalInvariantError as exc:
             assert re.match(r"negativity: state 0: (two negative|\w.* does not match)", str(exc))
             caught.append(True)
+            values.append(None)
         else:
             caught.append(False)
+        solved.append(sum(calls) > 0)
     assert all(c for c, s in zip(caught, svd_caught) if s)
     if name in ALWAYS_CAUGHT:  # on the real Bell state a dropped conj changes nothing
-        assert all(caught[:len(complex_states)])
+        for k in range(len(complex_states)):
+            if name in EIGENSOLVER_MUTATIONS and certified[k]:
+                # no eigensolver runs on a certified state, so none can be caught there
+                assert not solved[k] and values[k] == 0.0
+            else:
+                assert caught[k]
+
+
+def _eigensolver_negativity(states):
+    """The negativity by ``eigvalsh`` on every state, formed as ``negativity`` forms it."""
+    pt = partial_transpose_second(states)
+    h = pt + pt.conj().swapaxes(-1, -2)
+    h /= 2
+    eigs = _EIGVALSH(h)
+    return ((np.abs(eigs) - eigs) / 2.0).sum(axis=-1)
+
+
+def _no_eigensolver(a):
+    raise AssertionError("eigvalsh called")
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The number of states of each ``eigvalsh`` call the test makes."""
+    rows = []
+
+    def counted(a):
+        rows.append(len(a))
+        return _EIGVALSH(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return rows
+
+
+@pytest.mark.parametrize("name", AGREEMENT_SETS)
+def test_negativity_equals_the_eigensolver_on_every_state_bitwise(name, monkeypatch, solved):
+    states = AGREEMENT_SETS[name](monkeypatch)
+    solved.clear()
+    assert np.array_equal(negativity(states), _eigensolver_negativity(states))
+    if name == "region_confirmation":  # 61.5 % of these states are certified
+        assert sum(solved) < 0.4 * len(states)
+
+
+@pytest.mark.parametrize("name", AGREEMENT_SETS)
+def test_trace_sums_match_the_spectrum_with_no_wider_bound(name, monkeypatch):
+    # a certified state is checked through tr(h^k) and det(h); its scale
+    # sqrt(tr h^2)/2 may not exceed the largest |lambda| the eigenvalues give
+    from bathlink.correlations import _power_sums, _trace_sums
+
+    states = AGREEMENT_SETS[name](monkeypatch)
+    pt = partial_transpose_second(states)
+    h = (pt + pt.conj().swapaxes(-1, -2)) / 2
+    sums, scale = _trace_sums(h)
+    eig_sums, eig_scale = _power_sums(_EIGVALSH(h))
+    assert (scale <= eig_scale * (1.0 + 1e-15)).all()
+    assert (np.abs(sums - eig_sums) <= 1e-14 * eig_scale[:, None] ** np.arange(1, 5)).all()
+
+
+def test_a_certified_stack_runs_no_eigensolver(monkeypatch):
+    # full-rank product states: positive partial transposes, well inside the margin
+    rng = np.random.default_rng(1600)
+    states = np.array([kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(20)])
+    expected = _eigensolver_negativity(states)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    value = negativity(states)
+    assert np.array_equal(value, expected) and not value.any()
+    assert negativity(states[0]) == 0.0
+
+
+@pytest.mark.parametrize("factor, certified", [(0.99, False), (1.01, True)])
+def test_the_certificate_margin_edge(factor, certified, solved):
+    # w psi- + (1 - w) 1/4 has least partial-transpose eigenvalue (1 - 3 w)/4,
+    # here factor * SPECTRUM_TOL; a local unitary makes every entry complex
+    from bathlink.correlations import SPECTRUM_TOL
+
+    w = (1.0 - 4.0 * factor * SPECTRUM_TOL) / 3.0
+    rng = np.random.default_rng(1700)
+    u = kron(random_unitary(rng), random_unitary(rng))
+    rho = u @ (w * bell_state("psi-") + (1.0 - w) * np.eye(4) / 4.0) @ u.conj().T
+    least = _EIGVALSH(partial_transpose_second(rho[None]))[0, 0]
+    assert abs(least / (factor * SPECTRUM_TOL) - 1.0) < 1e-3
+    expected = _eigensolver_negativity(rho[None])[0]
+    solved.clear()
+    value = negativity(rho)
+    assert value == 0.0 and expected == 0.0
+    assert np.signbit(value) == np.signbit(expected)
+    assert (sum(solved) == 0) == certified
+
+
+def test_a_certified_state_with_a_non_hermitian_partial_transpose_raises(monkeypatch):
+    import bathlink.correlations as corr
+
+    states = _random_states()
+    least = _EIGVALSH(partial_transpose_second(states))[:, 0]
+    rho = states[np.argmax(least)]
+    assert least.max() > 1e-3
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    assert corr.negativity(rho) == 0.0
+    monkeypatch.setattr(corr, "partial_transpose_second", _dropped_conj_pt)
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^negativity: state 0: sum of squares \S+ does not match "
+                             r"tr\(pt\^2\) \S+j$"):
+        corr.negativity(rho)
 
 
 # ----------------------------------------------------------------- entropy

@@ -360,6 +360,17 @@ def test_negativity_and_mutual_information_are_symmetric_under_swapping_q_and_ho
     assert np.abs(direct[:2] - swapped[:2]).max() <= 2e-13
 
 
+@pytest.mark.parametrize("gamma1, gamma2, eta, p, q, omega, _", _omega_draws(20))
+def test_measures_are_even_under_the_parity_flip_of_p_and_q(gamma1, gamma2, eta, p, q, omega, _):
+    # sigma_z (x) sigma_z maps product_state(p, q) to product_state(-p, -q) and
+    # commutes with the generator, so it is a local unitary on the whole
+    # trajectory; the region confirmation column fills (-p, -q) from (p, q) by it
+    times = np.linspace(0.0, 4.0, 42)
+    gap = np.abs(_exact_measures(gamma1, gamma2, eta, omega, p, q, times)
+                 - _exact_measures(gamma1, gamma2, eta, omega, -p, -q, times))
+    assert gap.max() <= 2e-13
+
+
 # ------------------------------------------------------------- trajectories
 
 def test_trajectory_validates_times():

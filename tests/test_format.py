@@ -48,6 +48,61 @@ def test_write_table_blocks_render_every_row_as_fmt(tmp_path):
     assert path.read_text() == expected
 
 
+def _fmt_text(columns, table):
+    return ",".join(columns) + "\n" + "".join(",".join(map(fmt, row)) + "\n" for row in table)
+
+
+#: Cells that test the distinct-value path: signed zeros, distinct floats
+#: that print the same 12 digits, subnormals and the ends of the range.
+REPEATED = [0.0, -0.0, 0.1 + 0.2, 0.3, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 5e-324, -5e-324,
+            2.2e-310, -1e-320, 1e300, -1e300, 1.0 / 3.0, 2.0 / 6.0 + 1e-17, 123456789012.5]
+
+
+@pytest.mark.parametrize("rows", [1024, 1025, 3000])
+def test_write_table_repeated_values_render_as_fmt(tmp_path, monkeypatch, rows):
+    # tables longer than one block format each column's distinct values once
+    import bathlink._format as format_module
+
+    rng = np.random.default_rng(12)
+    pool = np.array(REPEATED)
+    table = pool[rng.integers(0, pool.size, size=(rows, 4))]
+    table[:, 3] = rng.normal(size=rows)  # one column with no repeats
+    for k, x in enumerate(REPEATED):  # every value on both sides of each block edge
+        for edge in range(1024, rows, 1024):
+            table[[edge - 1, edge], k % 3] = x
+    seen = []
+    column_text = format_module._column_text
+    monkeypatch.setattr(format_module, "_column_text",
+                        lambda column: seen.append(column.size) or column_text(column))
+    path = tmp_path / "repeats.csv"
+    write_table(str(path), "csv", ["a", "b", "c", "d"], table)
+    assert path.read_text(encoding="utf-8") == _fmt_text(["a", "b", "c", "d"], table)
+    assert seen == ([] if rows <= 1024 else [rows] * 4)
+
+
+def test_region_and_heatmap_tables_render_as_fmt(tmp_path, monkeypatch):
+    import bathlink.cli as cli
+
+    tables = []
+
+    def record(path, kind, columns, rows):
+        tables.append((path, columns, np.asarray(rows, dtype=float)))
+        write_table(path, kind, columns, rows)
+
+    monkeypatch.setattr(cli, "write_table", record)
+    canon = ["--gamma1", "1.01", "--gamma2", "0.01", "--omega", "0.001"]
+    assert cli.main(["region", *canon, "--eta", "1", "--n", "121", "--confirm-dynamics",
+                     "--out", str(tmp_path / "region.csv")]) == 0
+    assert cli.main(["heatmap", *canon, "--observable", "negativity", "--axis", "eta",
+                     "--axis-min", "0", "--axis-max", "1", "--axis-steps", "41", "--p", "0.6",
+                     "--q", "0.3", "--t-max", "6", "--samples", "250",
+                     "--out", str(tmp_path / "heat.csv")]) == 0
+    assert [len(rows) for _, _, rows in tables] == [14641, 10291]
+    for path, columns, rows in tables:
+        with open(path, encoding="utf-8") as f:
+            assert f.read() == _fmt_text(columns, rows)
+
+
 @pytest.mark.parametrize("kind", ["csv", "json"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_write_table_rejects_non_finite_cells(tmp_path, kind, bad):
