@@ -1,8 +1,8 @@
 """Deterministic text formatting and atomic writing of emitted data files.
 
 Every float cell is rendered as :func:`fmt` renders it.  Long CSV tables
-format each column's distinct values once and join rows from those strings;
-short ones format every cell in one ``%`` call.  Files appear whole or not at
+and JSON tables format each column's distinct values once; short CSV tables
+format every cell in one ``%`` call.  Files appear whole or not at
 all (:func:`atomic_write`).
 """
 
@@ -21,6 +21,8 @@ from .errors import NumericalInvariantError
 #: text.  A longer table formats each column's distinct values once
 #: (:func:`write_table`).
 _BLOCK_ROWS = 1024
+#: The one rendering of a float cell.
+_CELL = "%.12g"
 
 
 def fmt(x: float) -> str:
@@ -29,7 +31,7 @@ def fmt(x: float) -> str:
     Negative zero renders as ``0``, the same as positive zero.
     """
     x = float(x)
-    return f"{0.0 if x == 0.0 else x:.12g}"
+    return _CELL % (0.0 if x == 0.0 else x)
 
 
 @contextmanager
@@ -70,14 +72,14 @@ def write_json(path: str, payload: dict) -> None:
         raise NumericalInvariantError(f"{path}: {exc}") from exc
 
 
-def _column_text(column: np.ndarray) -> list[str]:
-    """:func:`fmt`'s text of each cell of a 1-D column, one ``%`` per distinct value.
+def _column_text(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """:func:`fmt`'s text of each distinct value of a 1-D column, and each cell's index into it.
 
     The column must hold no ``-0.0``.  ``np.unique`` gets a 1-D array: the
     shape of its ``return_inverse`` for 2-D input changed in numpy 2.
     """
     values, inverse = np.unique(column, return_inverse=True)
-    return np.array(["%.12g" % x for x in values.tolist()], dtype=object)[inverse].tolist()
+    return [_CELL % x for x in values.tolist()], inverse
 
 
 def write_table(path: str, kind: str, columns: list[str], rows) -> None:
@@ -89,10 +91,11 @@ def write_table(path: str, kind: str, columns: list[str], rows) -> None:
     :class:`NumericalInvariantError` before any file is opened.
 
     A CSV table of at most ``_BLOCK_ROWS`` rows is formatted by one ``%``
-    call.  A longer one has each column's distinct values formatted once
-    (the region and heatmap grids repeat most of theirs); its rows are then
-    joined from those strings, a block of ``_BLOCK_ROWS`` rows at a time.
-    Both routes give the same bytes.
+    call.  A longer one, and every JSON table, has each column's distinct
+    values formatted once (the region and heatmap grids repeat most of
+    theirs): CSV rows are then joined from those strings, a block of
+    ``_BLOCK_ROWS`` rows at a time, and JSON cells take the float of their
+    value's string.  Both CSV routes give the same bytes.
     """
     # + 0.0 maps -0 to 0, so "%.12g" renders every cell as fmt does
     table = np.asarray(rows, dtype=float) + 0.0
@@ -103,16 +106,18 @@ def write_table(path: str, kind: str, columns: list[str], rows) -> None:
             f"{path}: non-finite value {table[i, j]} in row {i}, column {columns[j]!r}"
         )
     if kind == "json":
-        write_json(path, {"columns": columns,
-                          "rows": [[float(fmt(x)) for x in row] for row in table]})
+        cells = [np.array([float(x) for x in text])[inverse]
+                 for text, inverse in map(_column_text, table.T)]
+        write_json(path, {"columns": columns, "rows": np.transpose(cells).tolist()})
         return
     with atomic_write(path) as f:
         f.write(",".join(columns) + "\n")
         if len(table) <= _BLOCK_ROWS:
-            line = ",".join(["%.12g"] * len(columns)) + "\n"
+            line = ",".join([_CELL] * len(columns)) + "\n"
             f.write((line * len(table)) % tuple(table.ravel().tolist()))
             return
-        texts = [_column_text(column) for column in table.T]
+        texts = [np.array(text, dtype=object)[inverse].tolist()
+                 for text, inverse in map(_column_text, table.T)]
         for start in range(0, len(table), _BLOCK_ROWS):
             rows = zip(*(text[start:start + _BLOCK_ROWS] for text in texts))
             f.write("\n".join(map(",".join, rows)) + "\n")

@@ -70,7 +70,8 @@ from ._kernels import (
     x_state_terms,
 )
 from .errors import ConfigError, NumericalInvariantError
-from .matops import _COHERENCE_ORDER, _as_inexact, partial_trace, partial_transpose_second
+from .matops import (_COHERENCE_ORDER, _as_inexact, _positive_definite, partial_trace,
+                     partial_transpose_second)
 
 #: Largest trace deviation an entropy input may have.
 ENTROPY_TRACE_TOL = 1e-6
@@ -188,8 +189,10 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
 
 
 def _certified(h: np.ndarray, traces: np.ndarray) -> np.ndarray | None:
-    """The states whose ``h - SPECTRUM_TOL |tr rho| 1`` :func:`_positive_definite` proves
-    positive definite, as a mask; None where fewer than half of the stack are.
+    """The states whose ``h - SPECTRUM_TOL |tr rho| 1`` the state check's LDL^T factorization,
+    :func:`bathlink.matops._positive_definite`, proves positive definite, as a mask; None
+    where fewer than half of the stack are.  Its rounding, of order ``5 * 2^-53 |tr rho|``,
+    is far below that margin.
 
     Solving part of a stack costs more than solving all of it unless that
     part is at most about half.  ``traces`` are :func:`_traces`; a state
@@ -201,31 +204,6 @@ def _certified(h: np.ndarray, traces: np.ndarray) -> np.ndarray | None:
         return None
     certified = _positive_definite(h, SPECTRUM_TOL * np.abs(traces[:, 0]))
     return certified if 2 * np.count_nonzero(certified) >= len(h) else None
-
-
-def _positive_definite(h: np.ndarray, margin: np.ndarray) -> np.ndarray:
-    """Whether each ``h - margin * 1`` of an (N, 4, 4) Hermitian stack has all LDL^H pivots > 0.
-
-    The factorization reads the lower triangle and runs without pivoting,
-    one (N,) column of entries at a time.  By Sylvester's law of inertia
-    positive pivots mean ``lambda_min(h) > margin``; rounding moves that
-    bound by a backward error of order ``5 * 2^-53`` times the largest
-    diagonal entry, at most ``|tr rho|``.  A zero, negative or non-finite
-    pivot certifies nothing.
-    """
-    lower = [[h[:, i, j] for j in range(i)] for i in range(4)]
-    pivots = [h[:, i, i].real - margin for i in range(4)]
-    positive = np.ones(len(h), dtype=bool)
-    with np.errstate(all="ignore"):
-        for k in range(4):
-            positive &= pivots[k] > 0.0
-            # the Schur complement: a_ij -= a_ik conj(a_jk) / d_k for i >= j > k
-            scaled = {j: lower[j][k].conj() / pivots[k] for j in range(k + 1, 4)}
-            for i in range(k + 1, 4):
-                pivots[i] = pivots[i] - (lower[i][k] * scaled[i]).real
-                for j in range(k + 1, i):
-                    lower[i][j] = lower[i][j] - lower[i][k] * scaled[j]
-    return positive
 
 
 #: Largest gap between a power sum (or the product) of the computed
@@ -270,17 +248,15 @@ def _trace_sums(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``sqrt(tr(h^2))/2``, which is at most the largest ``|lambda|`` of a 4x4
     matrix, so no bound it scales is wider than the eigenvalue route's.
     """
-    h2 = h @ h
-    sums = np.stack([np.einsum("nii->n", h), np.einsum("nii->n", h2),
-                     np.einsum("nij,nji->n", h2, h), _det4(h)], axis=-1).real
+    sums = _traces(h, h).real
     return sums, np.sqrt(sums[:, 1]) / 2.0
 
 
 def _traces(states: np.ndarray, pt: np.ndarray) -> np.ndarray:
-    """``tr(pt^k)`` (k = 1, 2, 3) and ``det(pt)`` of each partial transpose, as (N, 4).
+    """``tr(pt^k)`` (k = 1, 2, 3) and ``det(pt)`` of each matrix of ``pt``, as (N, 4).
 
     ``tr(pt)`` is taken as ``tr(rho)`` of ``states``, which the partial
-    transpose keeps.
+    transpose keeps; :func:`_trace_sums` passes ``h`` as both.
     """
     pt2 = pt @ pt
     return np.stack([np.einsum("nii->n", states), np.einsum("nii->n", pt2),

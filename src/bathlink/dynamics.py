@@ -7,9 +7,9 @@ exponential route is exact up to ``expm`` accuracy and the integrator's job
 is independent verification.  Both step their states through one sampling
 loop, one 16x16 map per interval, and every trajectory is checked as a stack
 of density matrices by :func:`validate_density_matrix`, which also returns
-the traces that the tables print; it proves positivity with one Cholesky
-factorization, and a trajectory's least eigenvalues are computed only when
-read (:attr:`Trajectory.min_eig`).
+the traces that the tables print; it proves positivity with the LDL^T
+factorization that also certifies negativity, and a trajectory's least
+eigenvalues are computed only when read (:attr:`Trajectory.min_eig`).
 
 The exact route steps the states in the frame rotating at omega, with the
 real dissipator ``D`` of ``S = D - i omega diag(k)``: a state from real
@@ -34,7 +34,7 @@ import numpy as np
 
 from ._format import write_table
 from .errors import ConfigError, NumericalInvariantError, StabilityError
-from .matops import _COHERENCE_ORDER, _as_inexact, matrix_exp, unvec, vec
+from .matops import _COHERENCE_ORDER, _as_inexact, _positive_definite, matrix_exp, unvec, vec
 from .model import Liouvillian
 
 log = logging.getLogger(__name__)
@@ -58,11 +58,12 @@ def validate_density_matrix(
     named by its time in ``times`` when given, else by its index.  A valid
     ``rho`` gives the real part of each trace, of shape ``()`` or ``(N,)``.
 
-    Positivity, ``lambda_min > PSD_TOL``, is proved by one stacked Cholesky
-    factorization of ``rho - PSD_TOL * 1``, which exists exactly when that
-    matrix is positive definite.  Only when it fails do the eigenvalues
-    decide, from one stacked ``eigvalsh`` call, and name the first state at
-    or below ``PSD_TOL``.  Both read the lower triangle of ``rho`` as stored,
+    Positivity, ``lambda_min > PSD_TOL``, is proved by the vectorized LDL^T
+    factorization of :func:`bathlink.matops._positive_definite`: all pivots
+    of ``rho - PSD_TOL * 1`` positive mean that matrix is positive definite.
+    Only when a pivot is not do the eigenvalues decide, from one stacked
+    ``eigvalsh`` call, and name the first state at or below ``PSD_TOL``.
+    Both read the lower triangle and the real diagonal of ``rho`` as stored,
     so they test the stored matrix, not its Hermitian part; the two spectra
     differ by at most ``sqrt(3) * HERM_TOL`` (Weyl's inequality) once
     Hermiticity holds, far inside ``PSD_TOL``.
@@ -77,7 +78,7 @@ def validate_density_matrix(
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     bad = ~finite | (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL)
-    if not bad.any() and _positive_definite(stack - PSD_TOL * np.eye(4)):
+    if not bad.any() and _positive_definite(stack, PSD_TOL).all():
         return tr.real.reshape(rho.shape[:-2])
     min_eig = np.linalg.eigvalsh(stack).min(axis=1)
     bad |= min_eig <= PSD_TOL
@@ -93,15 +94,6 @@ def validate_density_matrix(
     if herm_dev[k] >= HERM_TOL:
         raise NumericalInvariantError(f"{context}: Hermiticity deviation {herm_dev[k]:.3e}")
     raise NumericalInvariantError(f"{context}: negative eigenvalue {min_eig[k]:.3e}")
-
-
-def _positive_definite(stack: np.ndarray) -> bool:
-    """Whether the Cholesky factorization of every matrix of ``stack`` exists."""
-    try:
-        np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _check_amplitudes(p: float | np.ndarray, q: float | np.ndarray) -> None:

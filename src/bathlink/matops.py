@@ -43,6 +43,31 @@ def _as_inexact(a: np.ndarray) -> np.ndarray:
     return a.astype(np.result_type(a, float), copy=False)
 
 
+def _positive_definite(h: np.ndarray, margin: float | np.ndarray) -> np.ndarray:
+    """Whether each ``h - margin * 1`` of an (N, 4, 4) Hermitian stack has all LDL^H pivots > 0.
+
+    ``margin`` is a scalar or one value per matrix.  The factorization reads
+    the lower triangle and the real diagonal and runs without pivoting, one
+    (N,) column of entries at a time.  By Sylvester's law of inertia positive
+    pivots mean ``lambda_min(h) > margin``; rounding moves that bound by a
+    backward error of order ``5 * 2^-53`` times the largest diagonal entry.
+    A zero, negative or non-finite pivot certifies nothing.
+    """
+    lower = [[h[:, i, j] for j in range(i)] for i in range(4)]
+    pivots = [h[:, i, i].real - margin for i in range(4)]
+    positive = np.ones(len(h), dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(4):
+            positive &= pivots[k] > 0.0
+            # the Schur complement: a_ij -= a_ik conj(a_jk) / d_k for i >= j > k
+            scaled = {j: lower[j][k].conj() / pivots[k] for j in range(k + 1, 4)}
+            for i in range(k + 1, 4):
+                pivots[i] = pivots[i] - (lower[i][k] * scaled[i]).real
+                for j in range(k + 1, i):
+                    lower[i][j] = lower[i][j] - lower[i][k] * scaled[j]
+    return positive
+
+
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     """Transpose the HO (second) index of 4x4 pair operators (last two axes).
 

@@ -809,6 +809,41 @@ def test_a_run_beyond_memory_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# ------------------------------------------------------------- error exits
+
+HEAT = ["heatmap", *CANON, "--observable", "negativity", "--axis", "eta", "--p", "1", "--q", "0",
+        "--t-max", "1", "--samples", "4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0", "--config", "{cfg}"],
+     "--config must contain a JSON object"),
+    ([*HEAT, "--axis-values", "0.5", "--axis-min", "0"],
+     "config error: --axis-values excludes --axis-min/max/steps"),
+    ([*HEAT, "--axis-values", ","], "config error: --axis-values is empty"),
+    (["witness", *CANON, "--eta", "1"], "config error: give --kappa1/--kappa3 or --p/--q"),
+], ids=["config_array", "axis_values_and_min", "axis_values_empty", "witness_no_direction"])
+def test_config_errors_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('[{"eta": 1}]', encoding="utf-8")
+    out = tmp_path / "x.out"
+    assert main([*(arg.format(cfg=cfg) for arg in argv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_region_spot_check_without_negativity_exits_3(tmp_path, capsys, monkeypatch):
+    import bathlink.witness as witness
+
+    monkeypatch.setattr(witness, "negativity", lambda rho: np.zeros(len(rho)))
+    out = tmp_path / "region.csv"
+    assert main(["region", *CANON, "--eta", "1", "--n", "5", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant failure: point (")
+    assert err.endswith(") is flagged entangling but shows no negativity at t=0.0001\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------- misc
 
 def test_module_entrypoint_help():

@@ -146,6 +146,12 @@ def test_minor_expansion_determinant_matches_lu(rank):
         assert (np.abs(_det4(m) - np.linalg.det(m)) <= 1e-13 * s**4).all()
 
 
+def test_negativity_rejects_a_matrix_that_is_not_4x4():
+    with pytest.raises(ValueError, match=r"^expected a \(4, 4\) state or an \(N, 4, 4\) stack, "
+                                         r"got \(3, 3\)$"):
+        negativity(np.ones((3, 3)))
+
+
 def test_spectrum_check_rejects_two_negative_eigenvalues(monkeypatch):
     # a Hermitian stand-in for the partial transpose, with the state's trace,
     # whose spectrum no two-qubit partial transpose can have
@@ -223,8 +229,8 @@ MUTATIONS = [
 #: Mutations the spectrum check must catch on every state with complex entries.
 ALWAYS_CAUGHT = {"least_eigenvalue_plus_1e-9", "largest_eigenvalue_plus_1e-9",
                  "pt_entry_without_conj", "hermitian_part_without_conj"}
-#: Of those, the mutations of the eigensolver, which no state certified
-#: positive (``correlations._positive_definite``) reaches.
+#: Of those, the mutations of the eigensolver, which no state that
+#: ``matops._positive_definite`` certifies positive reaches.
 EIGENSOLVER_MUTATIONS = {"least_eigenvalue_plus_1e-9", "largest_eigenvalue_plus_1e-9",
                          "hermitian_part_without_conj"}
 

@@ -134,6 +134,11 @@ def test_evolve_rk_rejects_bad_arguments(canonical_liouvillian):
         evolve_rk(canonical_liouvillian, np.eye(4, dtype=complex), 1.0, steps=10)
 
 
+def test_evolve_rk_rejects_zero_samples(canonical_liouvillian):
+    with pytest.raises(ConfigError, match=r"^samples must be >= 1, got 0$"):
+        evolve_rk(canonical_liouvillian, product_state(1.0, 0.0), 1.0, steps=10, samples=0)
+
+
 @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
 def test_evolve_rk_rejects_a_non_finite_t_max(canonical_liouvillian, t_max):
     with pytest.raises(ConfigError, match=f"t_max must be finite and >= 0, got {t_max}$"):
@@ -235,6 +240,11 @@ def test_evolve_exact_requires_zero_start(canonical_liouvillian):
 def test_evolve_exact_rejects_a_non_finite_time(canonical_liouvillian):
     with pytest.raises(ConfigError, match="times must be finite, got nan$"):
         evolve_exact(canonical_liouvillian, product_state(1.0, 0.0), [0.0, float("nan")])
+
+
+def test_evolve_exact_rejects_an_empty_time_grid(canonical_liouvillian):
+    with pytest.raises(ConfigError, match=r"^times must be a non-empty 1-D sequence$"):
+        evolve_exact(canonical_liouvillian, product_state(1.0, 0.0), [])
 
 
 def test_propagate_accepts_negative_times(canonical_liouvillian):
@@ -381,6 +391,13 @@ def test_trajectory_validates_times():
         Trajectory(times=np.array([0.0, 0.0]), states=states)
 
 
+def test_trajectory_rejects_states_that_do_not_match_its_times():
+    states = np.repeat(product_state(1.0, 0.0)[None], 3, axis=0)
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^inconsistent trajectory shapes \(2,\) / \(3, 4, 4\)$"):
+        Trajectory(times=np.array([0.0, 0.1]), states=states)
+
+
 def test_trajectory_names_the_time_of_a_bad_state():
     states = np.repeat(product_state(1.0, 0.0)[None], 4, axis=0)
     states[2] = np.diag([1.2, -0.2, 0.0, 0.0])  # unit trace, one negative eigenvalue
@@ -406,8 +423,8 @@ def _no_eigensolver(monkeypatch):
 
 def test_validate_certifies_a_valid_stack_without_an_eigensolver(
         monkeypatch, canonical_liouvillian):
-    # pure states have exact zero eigenvalues: without the shift by -PSD_TOL,
-    # or with its sign flipped, Cholesky fails on them and eigvalsh is called
+    # pure states have exact zero eigenvalues: without the margin PSD_TOL, or
+    # with its sign flipped, the LDL^T certificate fails on them and eigvalsh is called
     _no_eigensolver(monkeypatch)
     traj = evolve_exact(canonical_liouvillian, product_state(0.6, 0.3), np.linspace(0.0, 6.0, 251))
     assert np.array_equal(validate_density_matrix(traj.frame_states), traj.trace)
@@ -436,6 +453,42 @@ def test_validate_passes_just_above_psd_tol_and_raises_just_below(monkeypatch):
     with pytest.raises(NumericalInvariantError,
                        match=r"^state at t=1: negative eigenvalue -1\.010e-08$"):
         Trajectory(times, outside)
+
+
+def _uncertified(monkeypatch):
+    """Make the certificate prove nothing; return the stack size of each eigvalsh call."""
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        rows.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(dynamics, "_positive_definite", lambda h, margin: np.zeros(len(h), bool))
+    monkeypatch.setattr(dynamics.np.linalg, "eigvalsh", counted)
+    return rows
+
+
+def test_validate_lets_the_eigenvalues_pass_what_the_certificate_does_not_prove(
+        monkeypatch, canonical_liouvillian):
+    traj = evolve_exact(canonical_liouvillian, product_state(0.6, 0.3), np.linspace(0.0, 6.0, 51))
+    rows = _uncertified(monkeypatch)
+    assert np.array_equal(validate_density_matrix(traj.frame_states), traj.trace)
+    assert rows == [51]
+    rows.clear()
+    inside = _edge_state(0.99 * PSD_TOL)
+    assert validate_density_matrix(inside) == np.trace(inside).real
+    assert rows == [1]
+
+
+def test_validate_names_a_state_below_psd_tol_when_the_certificate_proves_nothing(monkeypatch):
+    _uncertified(monkeypatch)
+    with pytest.raises(NumericalInvariantError, match=r"^state: negative eigenvalue -1\.010e-08$"):
+        validate_density_matrix(_edge_state(1.01 * PSD_TOL))
+    outside = np.stack([product_state(1.0, 0.0), _edge_state(1.01 * PSD_TOL)])
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^state at t=1: negative eigenvalue -1\.010e-08$"):
+        Trajectory(np.array([0.0, 1.0]), outside)
 
 
 def test_trajectory_min_eig_is_the_least_eigenvalue_of_each_stored_state():

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -78,6 +79,28 @@ def test_write_table_repeated_values_render_as_fmt(tmp_path, monkeypatch, rows):
     write_table(str(path), "csv", ["a", "b", "c", "d"], table)
     assert path.read_text(encoding="utf-8") == _fmt_text(["a", "b", "c", "d"], table)
     assert seen == ([] if rows <= 1024 else [rows] * 4)
+
+
+@pytest.mark.parametrize("rows", [1, 3000])
+def test_json_cells_are_the_floats_of_the_csv_cells(tmp_path, rows):
+    import json
+
+    from bathlink._format import _BLOCK_ROWS
+
+    rng = np.random.default_rng(13)
+    pool = np.array(REPEATED)
+    table = pool[rng.integers(0, pool.size, size=(rows, 4))]
+    table[:, 3] = rng.normal(size=rows)
+    table[0, :3] = [-0.0, 0.1 + 0.2, 5e-324]
+    assert rows == 1 or rows > _BLOCK_ROWS
+    columns = ["a", "b", "c", "d"]
+    write_table(str(tmp_path / "t.csv"), "csv", columns, table)
+    write_table(str(tmp_path / "t.json"), "json", columns, table)
+    lines = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:]
+    expected = [[float(cell) for cell in line.split(",")] for line in lines]
+    payload = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+    assert payload == {"columns": columns, "rows": expected}
+    assert math.copysign(1.0, payload["rows"][0][0]) == 1.0  # -0.0 is written as 0.0
 
 
 def test_region_and_heatmap_tables_render_as_fmt(tmp_path, monkeypatch):

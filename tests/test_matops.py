@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from bathlink.dynamics import PSD_TOL
 from bathlink.errors import NumericalInvariantError
 from bathlink.matops import (
     ID2,
     SIGMA_P,
+    _positive_definite,
     hermitize,
     kron,
     matrix_to_dict,
@@ -71,6 +73,13 @@ def test_partial_transpose_involution_trace_hermiticity(seed):
 def test_partial_transpose_rejects_wrong_shape():
     with pytest.raises(ValueError):
         partial_transpose_second(np.eye(2))
+
+
+def test_partial_trace_rejects_wrong_shape_and_factor():
+    with pytest.raises(ValueError, match=r"^partial trace expects 4x4 matrices, got \(3, 3\)$"):
+        partial_trace(np.eye(3), "first")
+    with pytest.raises(ValueError, match=r"^keep must be 'first' or 'second', got 'third'$"):
+        partial_trace(np.eye(4), "third")
 
 
 def test_partial_trace_bell_is_maximally_mixed():
@@ -260,6 +269,37 @@ def test_transposes_and_traces_keep_real_states_real():
     assert partial_trace(rho, "first").dtype == partial_trace(rho, "second").dtype == np.float64
     assert unvec(vec(rho)).dtype == np.float64
     assert partial_transpose_second(bell_state("phi-")).dtype == np.complex128
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_positive_definite_is_the_least_eigenvalue_above_the_margin(dtype):
+    # unit-trace stacks of ranks 1-4 against scalar margins and against margins
+    # within 1e-3 and 1e-10 of each least eigenvalue; a least eigenvalue within
+    # 1e-13 of its margin is left to rounding and not compared
+    rng = np.random.default_rng(24)
+    for rank in range(1, 5):
+        a = rng.normal(size=(400, 4, rank)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=a.shape)
+        h = a @ a.conj().swapaxes(1, 2)
+        h /= np.trace(h, axis1=1, axis2=2).real[:, None, None]
+        least = np.linalg.eigvalsh(h)[:, 0]
+        near = [least + rng.uniform(-w, w, size=least.size) for w in (1e-3, 1e-10)]
+        for margin in (PSD_TOL, 0.0, 1e-12, *near):
+            far = np.abs(least - margin) > 1e-13
+            mask = _positive_definite(h, margin)
+            assert mask.dtype == bool and mask.shape == (400,)
+            assert np.array_equal(mask[far], (least > margin)[far])
+        for margin in near:  # both sides of each margin are well populated
+            assert min(np.count_nonzero(least > margin), np.count_nonzero(least < margin)) > 100
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_positive_definite_certifies_no_matrix_with_a_nan_entry(dtype):
+    rows, cols = np.tril_indices(4)
+    h = np.stack([np.eye(4, dtype=dtype)] * (rows.size + 1))
+    h[np.arange(rows.size), rows, cols] = np.nan
+    assert np.array_equal(_positive_definite(h, PSD_TOL), [False] * rows.size + [True])
 
 
 def test_complex_to_real_cast_is_an_error():

@@ -76,6 +76,11 @@ def test_rates_reject_non_positive():
         rates_from_temperature(1.0, -0.5)
 
 
+def test_params_from_rates_reject_zero_zeta():
+    with pytest.raises(ConfigError, match=r"^zeta must be > 0, got 0\.0$"):
+        ModelParams.from_rates(1.01, 0.01, 1.0, 0.001, zeta=0.0)
+
+
 def test_rates_where_exp_inverse_temperature_overflows():
     # e^(1/T) - 1 is finite up to 1/T of about 709.78; the formula is unchanged there
     temp = 1.0 / 709.0

@@ -275,6 +275,17 @@ def test_region_scan_spot_checks_record_positive_negativity(canonical_params):
         assert check["negativity"] > 1e-10
 
 
+def test_region_scan_raises_where_a_spot_check_shows_no_negativity(canonical_params,
+                                                                  monkeypatch):
+    import bathlink.witness as witness
+
+    monkeypatch.setattr(witness, "negativity", lambda rho: np.zeros(len(rho)))
+    with pytest.raises(NumericalInvariantError,
+                       match=r"^point \(\S+, \S+\) is flagged entangling but shows no "
+                             r"negativity at t=0\.0001$"):
+        region_scan(canonical_params, n=11, spot_checks=1)
+
+
 def test_region_scan_spot_check_picks_are_pinned(canonical_params):
     # random.Random(seed).random() is the stream Python keeps across versions
     scan = region_scan(canonical_params, n=11, spot_checks=3, seed=0)
