@@ -94,8 +94,9 @@ def write_table(path: str, kind: str, columns: list[str], rows) -> None:
     call.  A longer one, and every JSON table, has each column's distinct
     values formatted once (the region and heatmap grids repeat most of
     theirs): CSV rows are then joined from those strings, a block of
-    ``_BLOCK_ROWS`` rows at a time, and JSON cells take the float of their
-    value's string.  Both CSV routes give the same bytes.
+    ``_BLOCK_ROWS`` rows at a time, each block's cells looked up only as it
+    is written, and JSON cells take the float of their value's string.
+    Both CSV routes give the same bytes.
     """
     # + 0.0 maps -0 to 0, so "%.12g" renders every cell as fmt does
     table = np.asarray(rows, dtype=float) + 0.0
@@ -116,8 +117,9 @@ def write_table(path: str, kind: str, columns: list[str], rows) -> None:
             line = ",".join([_CELL] * len(columns)) + "\n"
             f.write((line * len(table)) % tuple(table.ravel().tolist()))
             return
-        texts = [np.array(text, dtype=object)[inverse].tolist()
+        texts = [(np.array(text, dtype=object), inverse)
                  for text, inverse in map(_column_text, table.T)]
         for start in range(0, len(table), _BLOCK_ROWS):
-            rows = zip(*(text[start:start + _BLOCK_ROWS] for text in texts))
+            rows = zip(*(text[inverse[start:start + _BLOCK_ROWS]].tolist()
+                         for text, inverse in texts))
             f.write("\n".join(map(",".join, rows)) + "\n")

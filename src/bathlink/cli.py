@@ -173,6 +173,8 @@ def _time_grid(args: argparse.Namespace) -> tuple[int, np.ndarray]:
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.states_out and os.path.realpath(args.states_out) == os.path.realpath(args.out):
+        raise ConfigError("config error: --states-out names the --out file")
     params = _resolve_params(args)
     _require(args, ["p", "q", "t_max"])
     samples, times = _time_grid(args)

@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import NumericalInvariantError
 
-ID2 = np.eye(2, dtype=complex)
-SIGMA_P = np.array([[0, 0], [1, 0]], dtype=complex)
-SIGMA_M = np.array([[0, 1], [0, 0]], dtype=complex)
-SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
+ID2 = np.eye(2)
+SIGMA_P = np.array([[0.0, 0.0], [1.0, 0.0]])
+SIGMA_M = np.array([[0.0, 1.0], [0.0, 0.0]])
 #: Excitation numbers n of the pair basis; entry (i, j) has coherence order ``n_i - n_j``.
 _EXCITATIONS = np.array([0, 1, 1, 2])
 _COHERENCE_ORDER = np.subtract.outer(_EXCITATIONS, _EXCITATIONS)

@@ -312,7 +312,7 @@ def test_criterion_8_qualitative_claims(tmp_path):
             "--omega", "0.001", "--p", "1", "--q", "0", "--t-max", "6",
             "--samples", "400", "--out", str(sim_path)]
     assert cli_main(argv) == 0
-    lines = sim_path.read_text().splitlines()
+    lines = sim_path.read_text(encoding="utf-8").splitlines()
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     neg = [r[1] for r in rows]
     mi = [r[2] for r in rows]
@@ -332,7 +332,7 @@ def test_criterion_8_qualitative_claims(tmp_path):
             "--axis-values", "0.1,0.3,0.6,1.0", "--p", "1", "--q", "0",
             "--t-max", "2", "--samples", "400", "--out", str(heat_path)]
     assert cli_main(argv) == 0
-    hlines = heat_path.read_text().splitlines()
+    hlines = heat_path.read_text(encoding="utf-8").splitlines()
     hrows = [[float(x) for x in line.split(",")] for line in hlines[1:]]
     temps = [0.1, 0.3, 0.6, 1.0]
     monotone = True

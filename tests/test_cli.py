@@ -21,7 +21,7 @@ CANON = ["--gamma1", "1.01", "--gamma2", "0.01", "--omega", "0.001"]
 
 
 def read_csv(path):
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     return header, rows
@@ -78,9 +78,24 @@ def test_simulate_states_out(tmp_path):
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--t-max", "1", "--samples", "4", "--out", str(out),
                  "--states-out", str(states)]) == 0
-    lines = states.read_text().splitlines()
+    lines = states.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("t,re_rho_00,im_rho_00")
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("states", ["d/sim.csv", "./d/../d/sim.csv"])
+def test_simulate_states_out_on_the_out_file_exits_2(tmp_path, monkeypatch, capsys, states):
+    # the states file would silently replace the measures table
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    out = tmp_path / "d" / "sim.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
+                 "--t-max", "1", "--samples", "4", "--out", "d/sim.csv",
+                 "--states-out", states]) == 2
+    assert "config error: --states-out names the --out file" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["sim.csv"]
 
 
 @pytest.mark.parametrize("omega", [0.7, 5.0])
@@ -141,7 +156,7 @@ def test_simulate_json_format(tmp_path):
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--t-max", "1", "--samples", "4", "--format", "json",
                  "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["columns"][0] == "t"
     assert len(payload["rows"]) == 5
 
@@ -414,7 +429,7 @@ def test_heatmap_at_zero_t_max_emits_the_initial_state_per_value(tmp_path):
                  "--axis-values", "0,0.5,1", "--p", "0.6", "--q", "0.3", "--t-max", "0",
                  "--out", str(out)]) == 0
     start = fmt(mutual_information(product_state(0.6, 0.3)))
-    assert out.read_text() == (
+    assert out.read_text(encoding="utf-8") == (
         "t,axis_value,observable\n"
         f"0,0,{start}\n0,0.5,{start}\n0,1,{start}\n"
     )
@@ -494,7 +509,7 @@ def test_region_rejects_negative_seed_and_spot_checks(tmp_path, capsys, flags, m
     assert main(["region", *CANON, "--eta", "1", "--n", "3", *flags, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({flags[0][2:]: -3}))
+    cfg.write_text(json.dumps({flags[0][2:]: -3}), encoding="utf-8")
     assert main(["region", *CANON, "--eta", "1", "--n", "3", "--config", str(cfg),
                  "--out", str(out)]) == 2
     assert message.replace("-1", "-3") in capsys.readouterr().err
@@ -506,7 +521,7 @@ def test_region_rejects_negative_seed_and_spot_checks(tmp_path, capsys, flags, m
 def test_steady_state_generic_coupling(tmp_path):
     out = tmp_path / "ss.json"
     assert main(["steady-state", *CANON, "--eta", "0.7", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["null_space_dim"] == 1
     assert payload["analytic_residual_max"] < 1e-10
     assert payload["numeric_residual_max"] < 1e-10
@@ -517,7 +532,7 @@ def test_steady_state_generic_coupling(tmp_path):
 def test_steady_state_equal_couplings_reports_degeneracy(tmp_path):
     out = tmp_path / "ss1.json"
     assert main(["steady-state", *CANON, "--eta", "1", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["null_space_dim"] == 2
     assert payload["analytic_residual_max"] < 1e-10
 
@@ -529,7 +544,7 @@ def test_steady_state_zero_gamma2(tmp_path, capsys):
     assert main(argv) == 2
     assert "gamma2 = 0" in capsys.readouterr().err
     assert main([*argv, "--mode", "numeric"]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["null_space_dim"] > 1
     assert "analytic" not in payload
 
@@ -538,7 +553,7 @@ def test_steady_state_zero_gamma2(tmp_path, capsys):
 def test_steady_state_reports_a_one_dimensional_kernel_near_the_ends_of_eta(tmp_path, eta):
     out = tmp_path / "ss.json"
     assert main(["steady-state", *CANON, "--eta", eta, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["null_space_dim"] == 1
+    assert json.loads(out.read_text(encoding="utf-8"))["null_space_dim"] == 1
 
 
 def test_steady_state_equal_rates(tmp_path):
@@ -546,7 +561,7 @@ def test_steady_state_equal_rates(tmp_path):
     assert main(["steady-state", "--gamma1", "0.5", "--gamma2", "0.5",
                  "--omega", "0.001", "--eta", "0.3", "--mode", "analytic",
                  "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     entries = np.array(payload["analytic"]["entries"])
     diag = entries.reshape(4, 4, 2)[range(4), range(4), 0]
     assert np.allclose(diag, 0.25)
@@ -558,7 +573,7 @@ def test_witness_kappa_mode(tmp_path):
     out = tmp_path / "w.json"
     assert main(["witness", *CANON, "--eta", "1", "--kappa1", "0.5",
                  "--kappa3", "1", "--roots", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert abs(payload["dxi0"] + 0.495) < 1e-12
     assert payload["entangling"] is True
     assert payload["xi0"] == 0.0
@@ -571,7 +586,7 @@ def test_witness_kappa_opposite_sign_note(tmp_path, capsys):
     assert main(["witness", *CANON, "--eta", "1", "--kappa1", "1",
                  "--kappa3", "-0.5", "--out", str(out)]) == 0
     assert "opposite-sign" in capsys.readouterr().out
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert abs(payload["dxi0"] - 3.045) < 1e-12
     assert payload["entangling"] is False
     assert "note" in payload
@@ -581,7 +596,7 @@ def test_witness_pq_mode(tmp_path):
     out = tmp_path / "w3.json"
     assert main(["witness", *CANON, "--eta", "1", "--p", "1", "--q", "1",
                  "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["entangling"] is False
     assert payload["excess"] <= 0.0
 
@@ -629,7 +644,7 @@ def test_witness_direction_coefficients_exit_with_a_message(tmp_path, coefficien
     out = tmp_path / "w.json"
     result = subprocess.run(
         [sys.executable, "-m", "bathlink.cli", *WITNESS_PROBE, *coefficients, "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert result.returncode == code
     assert message in result.stderr
@@ -662,7 +677,7 @@ def test_witness_reports_directions_of_any_finite_scale(tmp_path, coefficients, 
         out = tmp_path / name
         assert main(["witness", "--gamma1", "1.01", "--gamma2", "0.01", "--omega", "0.001",
                      *flags, "--out", str(out)]) == 0
-        payloads.append(json.loads(out.read_text()))
+        payloads.append(json.loads(out.read_text(encoding="utf-8")))
     payload, reference = payloads
     assert payload["direction"] == direction
     assert abs(payload["xi0"]) < 1e-12
@@ -713,7 +728,7 @@ def test_config_file_supplies_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gamma1": 1.01, "gamma2": 0.01, "eta": 1.0,
                                "omega": 0.001, "p": 1.0, "q": 0.0,
-                               "t-max": 1.0, "samples": 4}))
+                               "t-max": 1.0, "samples": 4}), encoding="utf-8")
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = read_csv(out)
@@ -722,7 +737,7 @@ def test_config_file_supplies_flags(tmp_path):
 
 def test_config_file_collision_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"eta": 1.0}))
+    cfg.write_text(json.dumps({"eta": 1.0}), encoding="utf-8")
     out = tmp_path / "sim.csv"
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--t-max", "1", "--config", str(cfg), "--out", str(out)]) == 2
@@ -747,7 +762,7 @@ def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, con
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"frequency": 2.0}))
+    cfg.write_text(json.dumps({"frequency": 2.0}), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "unknown config key" in capsys.readouterr().err
@@ -761,7 +776,7 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "cfg.csv"
     # a string is parsed as its command-line text would be
-    cfg.write_text(json.dumps({"eta": 1, "omega": "0.001"}))
+    cfg.write_text(json.dumps({"eta": 1, "omega": "0.001"}), encoding="utf-8")
     assert main([*base, "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_bytes() == flags.read_bytes()
     out.unlink()
@@ -773,15 +788,15 @@ def test_config_values_parse_like_flags(tmp_path, capsys):
         ({"eta": 1, "omega": 0.001, "steps": 2.5}, "'steps': invalid value 2.5"),
     ]
     for payload, message in bad:
-        cfg.write_text(json.dumps(payload))
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
         assert main([*base, "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-    cfg.write_text(json.dumps({"confirm-dynamics": 1}))
+    cfg.write_text(json.dumps({"confirm-dynamics": 1}), encoding="utf-8")
     assert main(["region", *CANON, "--eta", "1", "--n", "3", "--config", str(cfg),
                  "--out", str(out)]) == 2
     assert "'confirm-dynamics' must be true or false" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flags.csv"]
-    cfg.write_text(json.dumps({"confirm-dynamics": True}))
+    cfg.write_text(json.dumps({"confirm-dynamics": True}), encoding="utf-8")
     assert main(["region", *CANON, "--eta", "1", "--n", "3", "--config", str(cfg),
                  "--out", str(out)]) == 0
     assert read_csv(out)[0][-1] == "negativity"
@@ -849,7 +864,7 @@ def test_region_spot_check_without_negativity_exits_3(tmp_path, capsys, monkeypa
 def test_module_entrypoint_help():
     result = subprocess.run(
         [sys.executable, "-m", "bathlink.cli", "simulate", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, encoding="utf-8",
     )
     assert result.returncode == 0
     for flag in ("--gamma1", "--gamma2", "--temperature", "--zeta", "--eta",
@@ -860,7 +875,7 @@ def test_module_entrypoint_help():
 def test_cli_import_skips_optimizer_and_jit():
     code = ("import sys, bathlink.cli\n"
             "print(sorted(m for m in ('scipy.optimize', 'numba') if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                             check=True)
     assert result.stdout.strip() == "[]"
 
@@ -868,7 +883,7 @@ def test_cli_import_skips_optimizer_and_jit():
 def test_cli_import_loads_no_scipy():
     code = ("import sys, bathlink.cli\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                             check=True)
     assert result.stdout.strip() == "[]"
 
@@ -892,11 +907,12 @@ def test_cli_runs_load_no_numpy_random(tmp_path):
             "from bathlink.cli import main\n"
             f"codes = [main(argv) for argv in {runs!r}]\n"
             "print(json.dumps([codes, eager, 'numpy.random' in sys.modules]))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                             check=True)
     codes, eager, loaded = json.loads(result.stdout)
     assert codes == [0, 0, 0, 0, 0]
-    assert len(json.loads((tmp_path / "region.json").read_text())["spot_checks"]) == 10
+    payload = json.loads((tmp_path / "region.json").read_text(encoding="utf-8"))
+    assert len(payload["spot_checks"]) == 10
     if eager:
         pytest.skip("this numpy imports numpy.random together with numpy")
     assert not loaded
@@ -925,7 +941,7 @@ def test_json_only_commands_reject_csv(tmp_path, capsys):
     capsys.readouterr()
     # a config value goes through the same choices as the flag
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "csv"}))
+    cfg.write_text(json.dumps({"format": "csv"}), encoding="utf-8")
     assert main(["witness", *CANON, "--eta", "1", "--kappa1", "0.5",
                  "--kappa3", "1", "--config", str(cfg),
                  "--out", str(tmp_path / "w.json")]) == 2
@@ -965,7 +981,7 @@ def test_cli_surface_matches_the_parser_with_every_subcommand_built(name, tmp_pa
 
     monkeypatch.setenv("COLUMNS", "80")
     config = tmp_path / "heatmap_key.json"
-    config.write_text(json.dumps({"observable": "negativity"}))  # a heatmap flag
+    config.write_text(json.dumps({"observable": "negativity"}), encoding="utf-8")  # a heatmap flag
     template, code, phrase = SURFACE[name]
     argv = [a.format(out=tmp_path / "x.csv", config=config) for a in template]
     got = _surface_run(argv, capsys)

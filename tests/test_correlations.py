@@ -682,7 +682,7 @@ def test_unconverged_warning_loads_no_numpy_ma():
             "corr.NEWTON_STEPS = 1\n"
             "corr.discord(states)\n"
             "print(json.dumps([eager, 'numpy.ma' in sys.modules]))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                             check=True)
     assert re.search(r"^WARNING discord: \d+ of 11 states reached 1 Newton iterations unconverged",
                      result.stderr, re.MULTILINE), result.stderr

@@ -567,7 +567,7 @@ def test_trajectory_csv_format(tmp_path, canonical_liouvillian):
                         np.linspace(0.0, 1.0, 3))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, str(path))
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4
     header = lines[0].split(",")
     assert header[0] == "t"

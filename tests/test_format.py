@@ -46,7 +46,7 @@ def test_write_table_blocks_render_every_row_as_fmt(tmp_path):
     path = tmp_path / "big.csv"
     write_table(str(path), "csv", ["a", "b", "c", "d", "e"], table)
     expected = "a,b,c,d,e\n" + "".join(",".join(map(fmt, row)) + "\n" for row in table)
-    assert path.read_text() == expected
+    assert path.read_text(encoding="utf-8") == expected
 
 
 def _fmt_text(columns, table):

@@ -116,7 +116,7 @@ def _json_value(value, as_number):
 
 def _finite_cells(path: Path) -> bool:
     """Whether a written file parses and every number in it is finite."""
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     if text.startswith("{"):
         def walk(node):
             if isinstance(node, dict):
@@ -147,7 +147,7 @@ def test_cli_fuzz_exits_cleanly_and_writes_only_finite_files(invocation):
         if states_out:
             argv += ["--states-out", str(work / "states.csv")]
         if config:
-            (Path(tmp) / "cfg.json").write_text(json.dumps(config))
+            (Path(tmp) / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
             argv += ["--config", str(Path(tmp) / "cfg.json")]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

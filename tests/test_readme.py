@@ -12,7 +12,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_python_blocks_run():
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     blocks = list(re.finditer(r"^```python\n(.*?)^```", text, flags=re.M | re.S))
     assert blocks
     for block in blocks:
@@ -26,7 +26,8 @@ def readme_commands():
 
     Commands that elide flags with ``...`` are not complete and are left out.
     """
-    block = re.search(r"^```bash\n(.*?)^```", README.read_text(), flags=re.M | re.S).group(1)
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^```bash\n(.*?)^```", text, flags=re.M | re.S).group(1)
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines
             if line.startswith("bathlink ") and "..." not in line]

@@ -28,7 +28,7 @@ def test_public_surface_is_pinned():
 def test_oracles_import_only_the_error_type_and_partial_transpose():
     # a route moved into the oracles must not call the package code it checks
     imported = set()
-    for node in ast.walk(ast.parse(ORACLES.read_text())):
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             assert node.level == 0 and node.module is not None
             if node.module.split(".")[0] == "bathlink":

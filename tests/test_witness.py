@@ -303,7 +303,7 @@ def test_region_scan_csv(tmp_path, canonical_params):
     scan = region_scan(canonical_params, n=3, spot_checks=0)
     path = tmp_path / "region.csv"
     write_table(str(path), "csv", *scan.table())
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "p,q,entangling,excess"
     assert len(lines) == 10
     first = lines[1].split(",")
