@@ -11,8 +11,8 @@ the traces that the tables print; it proves positivity with the LDL^T
 factorization that also certifies negativity, and a trajectory's least
 eigenvalues are computed only when read (:attr:`Trajectory.min_eig`).
 
-The exact route steps the states in the frame rotating at omega, with the
-real dissipator ``D`` of ``S = D - i omega diag(k)``: a state from real
+Both routes step the states in the frame rotating at omega, with the real
+dissipator ``D`` of ``S = D - i omega diag(k)``: a state from real
 amplitudes stays real there.  That frame differs from the lab frame by the
 local unitary ``exp(-i omega t n_Q) (x) exp(-i omega t n_HO)``, which keeps
 the trace, the spectrum, the negativity and the entropies, so the measures
@@ -124,9 +124,10 @@ class Trajectory:
 
     ``times`` is strictly increasing with ``times[0] = 0``.  ``frame_states``
     are the states as propagated, in the frame rotating at ``frame_omega``
-    (0, the lab frame, unless given): every one satisfies the density-matrix
-    invariants as stored, and ``trace`` holds the real part of each trace
-    that :func:`validate_density_matrix` tested.  :attr:`min_eig` is computed
+    (the generator's omega for both propagators, else 0, the lab frame):
+    every one satisfies the density-matrix invariants as stored, and
+    ``trace`` holds the real part of each trace that
+    :func:`validate_density_matrix` tested.  :attr:`min_eig` is computed
     when first read.  :attr:`states` and :attr:`final_state` are the
     lab-frame states, ``rho_ij = exp(-i frame_omega t k_ij) frame_rho_ij``
     with ``k_ij`` the coherence order of entry (i, j), formed when read.
@@ -209,19 +210,22 @@ def evolve_rk(
 
     ``samples`` uniform intervals are stored (``samples + 1`` states
     including t = 0); the requested ``steps`` are rounded up to a multiple
-    of ``samples`` so every stored time lands on a step boundary.  The step
-    size must satisfy ``h * spectral_radius < 1`` (stability guard).
+    of ``samples`` so every stored time lands on a step boundary.  The
+    states are stepped in the frame with the constant ``D``, as by
+    :func:`evolve_exact`, so omega adds no truncation error, and one RK4
+    step is exactly ``P(hD) = 1 + hD + (hD)^2/2 + (hD)^3/6 + (hD)^4/24``.
+    The map between samples, ``P(hD)^substeps``, is built once by repeated
+    squaring and applied with one matrix-vector product per sample.
+    ``P(hD)`` preserves trace and Hermiticity like the exact map, so each
+    sample is stored as integrated and checked as it is; a failing check
+    (too few steps, or so many that rounding dominates) says so.
 
-    The generator is constant, so one classical RK4 step is exactly the
-    degree-4 Taylor polynomial ``P(hS) = 1 + hS + (hS)^2/2 + (hS)^3/6 +
-    (hS)^4/24`` (its stability function).  The map between samples,
-    ``P(hS)^substeps``, is built once by repeated squaring and applied with
-    one matrix-vector product per sample.  ``P(hS)`` preserves trace and
-    Hermiticity like the exact map, so each sample is stored as integrated
-    and checked as it is; a failing check (too few steps, or so many that
-    rounding dominates) says so.
+    Stability guard: ``h`` times ``S``'s radius must be below 1.  That bounds
+    ``D``'s radius: ``D``'s order-``k`` block and its transpose, the order
+    ``-k`` block, share each eigenvalue ``lambda``, so ``S`` has ``lambda -+
+    i omega k``, and the larger of the two moduli is at least ``|lambda|``.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = _as_inexact(rho0)
     validate_density_matrix(rho0, context="initial state")
     if not 0.0 <= t_max < math.inf:
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
@@ -230,7 +234,7 @@ def evolve_rk(
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if t_max == 0.0:
-        return Trajectory(times=np.zeros(1), states=rho0[None, :, :])
+        return Trajectory(np.zeros(1), rho0[None, :, :], liouvillian.params.omega)
     substeps = max(1, -(-steps // samples))
     try:
         h = t_max / (samples * substeps)
@@ -245,7 +249,7 @@ def evolve_rk(
             f"step size {h:.3e} times spectral radius "
             f"{liouvillian.spectral_radius:.3e} is >= 1; increase steps"
         )
-    a = h * liouvillian.superop
+    a = h * liouvillian.dissipator
     eye = np.eye(16)
     with np.errstate(over="ignore", invalid="ignore"):
         taylor = eye + a @ (eye + (a / 2) @ (eye + (a / 3) @ (eye + a / 4)))
@@ -253,7 +257,8 @@ def evolve_rk(
     log.debug("evolve_rk: %d samples x %d substeps, h=%.3e", samples, substeps, h)
     with _noting("the step count is too small, or so large that rounding dominates"):
         return Trajectory(np.linspace(0.0, t_max, samples + 1),
-                          _sample(itertools.repeat(step, samples), rho0, samples, ()))
+                          _sample(itertools.repeat(step, samples), rho0, samples, ()),
+                          liouvillian.params.omega)
 
 
 @contextmanager
@@ -285,17 +290,15 @@ def evolve_exact(
 ) -> Trajectory | list[Trajectory]:
     """Exact trajectory at the given times (finite, ascending, starting at 0).
 
-    The states are stepped in the frame rotating at omega through the
-    sampling loop, one real map ``exp(dt_k D)`` per interval, and checked
-    there; each trajectory keeps them with its generator's omega as its
-    frame (see :class:`Trajectory`).  A real ``rho0`` gives real frame
-    states.  A uniform grid takes a single ``expm`` and applies it on every
-    interval; an irregular grid takes each interval's exponential when it
-    reaches it, so one map per generator is held at a time.  ``liouvillian``
-    may also be a sequence of generators: all of them are stepped together,
-    one batched product per interval, and one trajectory per generator is
-    returned.  An error in mapping or checking a generator's trajectory ends
-    with that generator's parameters.
+    The states are stepped in the frame through the sampling loop, one real
+    map ``exp(dt_k D)`` per interval, and checked there.  A uniform grid
+    takes a single ``expm`` and applies it on every interval; an irregular
+    grid takes each interval's exponential when it reaches it, so one map
+    per generator is held at a time.  ``liouvillian`` may also be a sequence
+    of generators: all of them are stepped together, one batched product per
+    interval, and one trajectory per generator is returned.  An error in
+    mapping or checking a generator's trajectory ends with that generator's
+    parameters.
     """
     single = isinstance(liouvillian, Liouvillian)
     generators = [liouvillian] if single else list(liouvillian)

@@ -25,11 +25,6 @@ _EXCITATIONS = np.array([0, 1, 1, 2])
 _COHERENCE_ORDER = np.subtract.outer(_EXCITATIONS, _EXCITATIONS)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor acts on the first (Q) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part ``(A + A^dagger)/2``."""
     a = np.asarray(a, dtype=complex)

@@ -38,7 +38,7 @@ import pytest
 from bathlink.cli import main as cli_main
 from bathlink.correlations import discord, mutual_information, negativity
 from bathlink.dynamics import evolve_exact, evolve_rk, product_state
-from bathlink.matops import kron, matrix_exp, trace_norm, unvec, vec
+from bathlink.matops import matrix_exp, trace_norm, unvec, vec
 from bathlink.model import (
     ModelParams,
     build_liouvillian,
@@ -273,7 +273,7 @@ def test_criterion_7_correlation_benchmarks():
     rng = np.random.default_rng(7)
     bell = bell_state("phi+")
     werner = 0.6 * bell + 0.4 * np.eye(4) / 4.0
-    product = kron(
+    product = np.kron(
         np.diag([0.65, 0.35]).astype(complex), np.diag([0.2, 0.8]).astype(complex)
     )
     classical = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)

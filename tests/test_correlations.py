@@ -18,7 +18,7 @@ from bathlink.correlations import (
 )
 from bathlink.dynamics import evolve_exact, evolve_rk, product_state
 from bathlink.errors import ConfigError, NumericalInvariantError
-from bathlink.matops import kron, partial_trace, partial_transpose_second
+from bathlink.matops import partial_trace, partial_transpose_second
 from bathlink.model import ModelParams, build_liouvillian
 from oracles import (
     bell_diagonal,
@@ -52,7 +52,7 @@ def test_negativity_werner():
 @pytest.mark.parametrize("seed", range(8))
 def test_negativity_vanishes_on_products(seed):
     rng = np.random.default_rng(seed)
-    rho = kron(random_density(rng, 2), random_density(rng, 2))
+    rho = np.kron(random_density(rng, 2), random_density(rng, 2))
     assert negativity(rho) < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_negativity_vanishes_on_products(seed):
 def test_negativity_local_unitary_invariance(seed):
     rng = np.random.default_rng(600 + seed)
     rho = werner(rng.uniform(0.4, 1.0))
-    u = kron(random_unitary(rng), random_unitary(rng))
+    u = np.kron(random_unitary(rng), random_unitary(rng))
     rotated = u @ rho @ u.conj().T
     assert abs(negativity(rotated) - negativity(rho)) < 1e-9
 
@@ -331,7 +331,7 @@ def test_trace_sums_match_the_spectrum_with_no_wider_bound(name, monkeypatch):
 def test_a_certified_stack_runs_no_eigensolver(monkeypatch):
     # full-rank product states: positive partial transposes, well inside the margin
     rng = np.random.default_rng(1600)
-    states = np.array([kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(20)])
+    states = np.array([np.kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(20)])
     expected = _eigensolver_negativity(states)
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
     value = negativity(states)
@@ -347,7 +347,7 @@ def test_the_certificate_margin_edge(factor, certified, solved):
 
     w = (1.0 - 4.0 * factor * SPECTRUM_TOL) / 3.0
     rng = np.random.default_rng(1700)
-    u = kron(random_unitary(rng), random_unitary(rng))
+    u = np.kron(random_unitary(rng), random_unitary(rng))
     rho = u @ (w * bell_state("psi-") + (1.0 - w) * np.eye(4) / 4.0) @ u.conj().T
     least = _EIGVALSH(partial_transpose_second(rho[None]))[0, 0]
     assert abs(least / (factor * SPECTRUM_TOL) - 1.0) < 1e-3
@@ -453,7 +453,7 @@ def test_measurement_projectors_complete_and_idempotent():
 def test_conditional_entropy_product_state_equals_marginal_entropy():
     # measuring the oscillator cannot inform about the qubit
     rho_q = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    rho = kron(rho_q, np.diag([0.4, 0.6]).astype(complex))
+    rho = np.kron(rho_q, np.diag([0.4, 0.6]).astype(complex))
     expected = entropy_bits(rho_q)
     for theta, phi in [(0.0, 0.0), (0.7, 1.3), (2.5, 4.0)]:
         got = conditional_entropy(rho, theta, phi)
@@ -597,7 +597,8 @@ def _adversarial_states():
     rz = np.diag([np.exp(-0.2j), np.exp(0.2j)])
     rng = np.random.default_rng(1600)
     rotations = [rz @ rx] + [random_unitary(rng) for _ in range(40)]
-    rotated = [kron(np.eye(2), r) @ two_minima @ kron(np.eye(2), r).conj().T for r in rotations]
+    unitaries = [np.kron(np.eye(2), r) for r in rotations]
+    rotated = [u @ two_minima @ u.conj().T for u in unitaries]
     return np.concatenate([*trajectories, windows, rotated])
 
 
@@ -723,8 +724,8 @@ def _rare_outcome_state(q_state):
     Q maximally mixed, so it adds 1e-10 bits to the conditional entropy.
     """
     eps = 1e-10
-    return (kron((1.0 - eps) * q_state, np.diag([1.0, 0.0]))
-            + kron(eps * np.eye(2) / 2.0, np.diag([0.0, 1.0]))).astype(complex)
+    return (np.kron((1.0 - eps) * q_state, np.diag([1.0, 0.0]))
+            + np.kron(eps * np.eye(2) / 2.0, np.diag([0.0, 1.0]))).astype(complex)
 
 
 @pytest.mark.parametrize("q_state", [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)],
@@ -835,7 +836,7 @@ def test_only_exactly_x_shaped_states_take_the_x_route(monkeypatch):
     assert calls == []
     nearly = x_states[0].copy()
     nearly[0, 1] = nearly[1, 0] = 1e-300
-    rotation = kron(np.eye(2), random_unitary(np.random.default_rng(1900)))
+    rotation = np.kron(np.eye(2), random_unitary(np.random.default_rng(1900)))
     rotated = rotation @ x_states[1] @ rotation.conj().T
     result = discord(np.array([nearly, rotated, x_states[2]]))
     assert calls == [2]

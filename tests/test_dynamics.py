@@ -79,11 +79,13 @@ def test_evolve_rk_zero_time(canonical_liouvillian):
     assert max_abs_diff(traj.states[0], product_state(1.0, 0.0)) == 0.0
 
 
-def test_evolve_rk_matches_exact_propagator(canonical_liouvillian):
-    rho0 = product_state(1.0, 0.0)
-    traj = evolve_rk(canonical_liouvillian, rho0, 1.0, steps=1000, samples=1)
-    exact = propagate(canonical_liouvillian.superop, rho0, 1.0)
-    assert trace_norm(traj.final_state - exact) < 1e-6
+@pytest.mark.parametrize("omega", [0.001, 5.0])
+def test_evolve_rk_matches_exact_propagator(omega):
+    # rk4 steps D in the frame, so omega adds no truncation error
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, 0.6, omega))
+    rho0 = product_state(0.6, -0.4)
+    traj = evolve_rk(liou, rho0, 1.0, steps=1000, samples=1)
+    assert trace_norm(traj.final_state - propagate(liou.superop, rho0, 1.0)) <= 1e-12
 
 
 def test_evolve_rk_fourth_order_convergence(canonical_liouvillian):
@@ -103,20 +105,24 @@ def test_evolve_rk_matches_stage_oracle(eta, steps, samples):
     liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, eta, 0.001))
     rho0 = product_state(0.6, -0.4)
     traj = evolve_rk(liou, rho0, 5.0, steps=steps, samples=samples)
-    ref = rk4_stage_states(liou.superop, rho0, 5.0, steps, samples)
-    assert max_abs_diff(traj.states, ref) <= 1e-12
+    ref = rk4_stage_states(liou.dissipator, rho0, 5.0, steps, samples)
+    assert max_abs_diff(traj.frame_states, ref) <= 1e-12
 
 
 def test_evolve_rk_stability_guard(canonical_liouvillian):
     with pytest.raises(StabilityError):
         evolve_rk(canonical_liouvillian, product_state(1.0, 0.0), 100.0, steps=1, samples=1)
+    # the guard reads S's radius: h max|eig S| = 2.0, though h max|eig D| = 0.045
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, 1.0, 100.0))
+    with pytest.raises(StabilityError):
+        evolve_rk(liou, product_state(1.0, 0.0), 1.0, steps=100, samples=1)
 
 
 def test_evolve_rk_invariants_of_the_stored_states(canonical_liouvillian):
     traj = evolve_rk(canonical_liouvillian, product_state(1.0, 0.0), 20.0,
                      steps=20000, samples=100)
     # construction already validated trace/Hermiticity/positivity of every state;
-    # the states are stored as integrated, so these bound P(hS) itself
+    # the states are stored as integrated, so these bound P(hD) itself
     assert len(traj) == 101
     assert np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max() < 1e-9
     assert np.abs(traj.states - traj.states.conj().swapaxes(1, 2)).max() < 1e-12
@@ -304,11 +310,12 @@ def test_exact_frame_states_of_a_real_start_are_real():
     assert traj.states.dtype == np.complex128
 
 
-def test_rk4_and_given_trajectories_are_in_the_lab_frame(canonical_liouvillian):
+def test_rk4_steps_in_the_frame_and_a_given_trajectory_is_in_the_lab(canonical_liouvillian):
     traj = evolve_rk(canonical_liouvillian, product_state(0.6, 0.3), 1.0, steps=100, samples=4)
-    assert traj.frame_omega == 0.0 and traj.states is traj.frame_states
+    assert traj.frame_omega == canonical_liouvillian.params.omega
+    assert traj.frame_states.dtype == np.float64
     given_states = Trajectory(traj.times, traj.states)
-    assert given_states.frame_omega == 0.0
+    assert given_states.frame_omega == 0.0 and given_states.states is given_states.frame_states
     assert np.array_equal(given_states.states, traj.states)
 
 
@@ -324,18 +331,25 @@ def _omega_draws(count):
 @pytest.mark.parametrize("gamma1, gamma2, eta, p, q, omega_a, omega_b", _omega_draws(20))
 def test_lab_frame_measures_do_not_depend_on_omega(gamma1, gamma2, eta, p, q, omega_a, omega_b):
     # omega enters the lab-frame states only through a local unitary, which
-    # keeps every measure; rk4 steps at h = 4/16400, where its truncation
-    # error, which does depend on omega, is below rounding
+    # keeps every measure; rk4 steps the frame states with D alone
     rho0 = product_state(p, q)
     times = np.linspace(0.0, 4.0, 42)
     measured = {"exact": [], "rk4": []}
+    frame_states = []
     for omega in (omega_a, omega_b):
         liou = build_liouvillian(ModelParams.from_rates(gamma1, gamma2, eta, omega))
-        for route, traj in (("exact", evolve_exact(liou, rho0, times)),
-                            ("rk4", evolve_rk(liou, rho0, 4.0, steps=16400, samples=41))):
+        # D's order -k block is its order k block transposed, so shifting both
+        # by -i omega k cannot shrink the largest modulus: the guard on S's
+        # radius keeps rk4 on D stable
+        radius = np.abs(np.linalg.eigvals(liou.dissipator)).max()
+        assert liou.spectral_radius >= radius * (1.0 - 1e-12)
+        rk4 = evolve_rk(liou, rho0, 4.0, steps=16400, samples=41)
+        frame_states.append(rk4.frame_states)
+        for route, traj in (("exact", evolve_exact(liou, rho0, times)), ("rk4", rk4)):
             c = discord(traj.states)
             measured[route].append(np.stack([c.negativity, c.mutual_info, c.discord,
                                              c.classical_corr]))
+    assert np.array_equal(*frame_states)
     for route, (first, second) in measured.items():
         assert np.abs(first - second).max() <= 2e-13, route
 

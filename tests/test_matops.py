@@ -5,11 +5,8 @@ from scipy.linalg import expm
 from bathlink.dynamics import PSD_TOL
 from bathlink.errors import NumericalInvariantError
 from bathlink.matops import (
-    ID2,
-    SIGMA_P,
     _positive_definite,
     hermitize,
-    kron,
     matrix_to_dict,
     partial_trace,
     partial_transpose_second,
@@ -17,7 +14,7 @@ from bathlink.matops import (
     unvec,
     vec,
 )
-from bathlink.model import ModelParams, build_liouvillian
+from bathlink.model import SP_HO, SP_Q, ModelParams, build_liouvillian
 from oracles import (
     SIGMA_X,
     bell_state,
@@ -32,21 +29,13 @@ from oracles import (
 )
 
 
-def test_kron_identity():
-    assert max_abs_diff(kron(ID2, ID2), np.eye(4)) == 0.0
-
-
-def test_kron_diagonal():
-    out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert max_abs_diff(out, np.diag([3.0, 4.0, 6.0, 8.0])) == 0.0
-
-
 def test_kron_sigma_plus_acts_on_first_index():
-    out = kron(SIGMA_P, ID2)
     expected = np.zeros((4, 4))
-    expected[2, 0] = 1.0
-    expected[3, 1] = 1.0
-    assert max_abs_diff(out, expected) == 0.0
+    expected[2, 0] = expected[3, 1] = 1.0
+    assert max_abs_diff(SP_Q, expected) == 0.0
+    expected = np.zeros((4, 4))
+    expected[1, 0] = expected[3, 2] = 1.0
+    assert max_abs_diff(SP_HO, expected) == 0.0
 
 
 def test_partial_transpose_fixes_diagonal_product_state():
@@ -105,9 +94,9 @@ def test_partial_trace_of_kron(seed):
     rng = np.random.default_rng(100 + seed)
     a = random_hermitian(rng, 2)
     b = random_hermitian(rng, 2)
-    out = partial_trace(kron(a, b), "first")
+    out = partial_trace(np.kron(a, b), "first")
     assert max_abs_diff(out, a * np.trace(b)) < 1e-13
-    out2 = partial_trace(kron(a, b), "second")
+    out2 = partial_trace(np.kron(a, b), "second")
     assert max_abs_diff(out2, b * np.trace(a)) < 1e-13
 
 
