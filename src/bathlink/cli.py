@@ -374,8 +374,8 @@ def _heatmap_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--axis-steps", type=int, default=None, help="sweep point count")
     p.add_argument("--axis-values", default=None,
                    help="explicit comma-separated sweep values (excludes min/max/steps)")
-    p.add_argument("--p", type=float, default=None, help="qubit amplitude of |0>")
-    p.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0>")
+    p.add_argument("--p", type=float, default=None, help="qubit amplitude of |0> in [-1, 1]")
+    p.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0> in [-1, 1]")
     p.add_argument("--t-max", type=float, default=None, help=f"end time ({_TIME_HELP})")
     p.add_argument("--samples", type=int, default=None,
                    help=f"uniform sampling intervals per sweep value (default {DEFAULT_SAMPLES})")
@@ -410,8 +410,8 @@ def _witness_flags(p: argparse.ArgumentParser) -> None:
                    help="|10> coefficient (does not affect the rate; default 0)")
     p.add_argument("--kappa3", type=float, default=None,
                    help="|11> coefficient of the witness direction")
-    p.add_argument("--p", type=float, default=None, help="qubit amplitude of |0>")
-    p.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0>")
+    p.add_argument("--p", type=float, default=None, help="qubit amplitude of |0> in [-1, 1]")
+    p.add_argument("--q", type=float, default=None, help="oscillator amplitude of |0> in [-1, 1]")
     p.add_argument("--alpha", type=float, default=None,
                    help="first direction coefficient for the (p, q) form")
     p.add_argument("--beta", type=float, default=None,

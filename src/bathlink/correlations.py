@@ -335,7 +335,7 @@ def mutual_information(rho: np.ndarray) -> float | np.ndarray:
     return float(total[0]) if single else total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Correlations:
     """Every correlation measure of a state or a stack (entropies in bits).
 

@@ -118,7 +118,7 @@ def product_state(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi[..., None, :]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
     """Time-ordered states of one propagation.
 

@@ -198,7 +198,7 @@ def kossakowski_matrix(params: ModelParams) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """The full generator, both as a callable form and a 16x16 matrix.
 
@@ -330,7 +330,7 @@ def steady_state_analytic(params: ModelParams) -> np.ndarray:
     return np.diag([r**2, r, r, 1.0]).astype(complex) / (1.0 + r) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteadyStateResult:
     """Kernel eigenvector promoted to a state, plus kernel diagnostics."""
 

@@ -252,7 +252,7 @@ def report_for_product_state(
                    f"p={fmt(p)}, q={fmt(q)}, alpha={fmt(alpha)}, beta={fmt(beta)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionScan:
     """Verdicts over a uniform (p, q) grid, plus dynamical spot checks.
 

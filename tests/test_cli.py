@@ -888,6 +888,23 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_the_package_after_its_dependencies():
+    # numpy and every standard module the sources import come first, so the
+    # difference is the package's own cost; a new import fails here on purpose
+    code = ("import sys, numpy, argparse, collections.abc, contextlib, dataclasses, functools, "
+            "itertools, json, logging, math, numbers, os, random\n"
+            "before = set(sys.modules)\n"
+            "import bathlink.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
+                            check=True)
+    assert result.stdout.split() == [
+        "__future__", "bathlink", "bathlink._format", "bathlink._kernels", "bathlink.cli",
+        "bathlink.correlations", "bathlink.dynamics", "bathlink.errors", "bathlink.matops",
+        "bathlink.model", "bathlink.witness",
+    ]
+
+
 def test_cli_runs_load_no_numpy_random(tmp_path):
     # numpy loads numpy.random lazily, at a cost of about 12 ms and 6 MB per run
     runs = [
