@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
+from scipy.optimize import linear_sum_assignment, minimize
 
 from bathlink.errors import NumericalInvariantError
 from bathlink.matops import partial_transpose_second
@@ -40,6 +40,17 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 def max_abs_diff(a, b):
     """Largest entrywise absolute difference."""
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def spectrum_mismatch(a, b):
+    """Largest distance between two multisets of eigenvalues, paired one to one.
+
+    The pairing minimizes the summed distance (scipy's
+    ``linear_sum_assignment``), so the order of either list does not matter.
+    """
+    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def is_close(a, b, tol=DEFAULT_TOL):

@@ -24,6 +24,7 @@ from oracles import (
     per_value_liouvillian,
     random_density,
     random_hermitian,
+    spectrum_mismatch,
 )
 
 
@@ -360,6 +361,79 @@ def test_stacked_build_matches_the_per_value_oracle():
     assert np.array_equal(single.superop, built[7].superop)
     assert np.array_equal(single.eigenvalues, built[7].eigenvalues)
     assert single.spectral_radius == built[7].spectral_radius
+
+
+_SPECTRUM_RATES = {
+    "canonical": (1.01, 0.01),
+    "temperature": rates_from_temperature(1.0, 0.7),
+    "times 2**40": (1.01 * 2.0**40, 0.01 * 2.0**40),
+    "times 2**-40": (1.01 * 2.0**-40, 0.01 * 2.0**-40),
+}
+
+
+@pytest.mark.parametrize("rates", _SPECTRUM_RATES.values(), ids=_SPECTRUM_RATES.keys())
+def test_block_spectrum_matches_the_full_eigvals_oracle(rates):
+    # the eigenvalues come from D's coherence-order blocks shifted by -i omega k;
+    # as a multiset they are those of the whole 16x16 S
+    points = [ModelParams.from_rates(*rates, eta, omega)
+              for eta in (0.0, 0.6, 1.0, 1.5) for omega in (0.001, 0.7, 3.0)]
+    for liou in build_liouvillian(points):
+        oracle = np.linalg.eigvals(liou.superop)
+        bound = 1e-12 * max(1.0, float(np.abs(liou.superop).max()))
+        assert liou.eigenvalues.shape == (16,)
+        assert spectrum_mismatch(liou.eigenvalues, oracle) <= bound
+        assert abs(liou.spectral_radius - np.abs(oracle).max()) <= bound
+        # positions follow the blocks, orders 0, +1, -1, +2 and -2; a real
+        # block's eigenvalues sum to its real trace, so each group's mean
+        # imaginary part is -omega k
+        groups = np.split(liou.eigenvalues, [6, 10, 14, 15])
+        for group, order in zip(groups, (0, 1, -1, 2, -2)):
+            assert abs(group.imag.mean() + liou.params.omega * order) <= bound
+
+
+def test_build_solves_only_the_blocks_and_only_after_the_leak_check(monkeypatch):
+    eigvals = np.linalg.eigvals
+    shapes = []
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    build_liouvillian([ModelParams.from_rates(1.01, 0.01, eta, 0.7) for eta in (0.5, 1.0, 1.5)])
+    # one stacked call for the order-0 blocks, one for orders +1 and -1 together
+    assert shapes == [(3, 6, 6), (3, 2, 4, 4)]
+    lift = model._lift_dissipator
+
+    def leaky(rate, jump):
+        out = lift(rate, jump).copy()
+        out[..., 3, 0] += 1e-3  # rho_11,00 (order 2) fed from rho_00 (order 0)
+        return out
+
+    shapes.clear()
+    monkeypatch.setattr(model, "_lift_dissipator", leaky)
+    with pytest.raises(NumericalInvariantError, match="couples different coherence orders"):
+        build_liouvillian(ModelParams.from_rates(1.01, 0.01, 0.6, 0.7))
+    assert shapes == []
+
+
+def test_build_rejects_a_growing_order_zero_block(monkeypatch):
+    # at eta = 1 the kernel holds the dark state |psi-><psi-|, whose coherence
+    # |01><10| (vec index 9, order 0) is -1/2; a gain of 1e-6 on that diagonal
+    # entry lifts a kernel eigenvalue to about +2.5e-7, far above 1e-10 max|S|,
+    # and keeps the trace row and every cross-order entry exactly as they were
+    lift = model._lift_dissipator
+
+    def gaining(rate, jump):
+        out = lift(rate, jump).copy()
+        out[..., 9, 9] += 0.5e-6  # both lifts add it
+        return out
+
+    monkeypatch.setattr(model, "_lift_dissipator", gaining)
+    params = ModelParams.from_rates(1.01, 0.01, 1.0, 0.7)
+    with pytest.raises(NumericalInvariantError, match=r"positive real part 2\.5\d\de-07 at") as info:
+        build_liouvillian(params)
+    assert str(info.value).endswith(f"at {params.label()}")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
