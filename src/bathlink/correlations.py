@@ -1,9 +1,12 @@
 """Correlation measures of the 4x4 pair state, in bits.
 
-Every measure takes one state ``(4, 4)`` or a stack ``(N, 4, 4)`` and works
-on the whole stack in array code.  :func:`discord` returns every measure at
-once as one :class:`Correlations` record of columns: a float per field for
-one state, an (N,) array per field for a stack.
+Every measure takes one state ``(4, 4)`` or a stack ``(N, 4, 4)``, as
+:func:`bathlink.matops._states` requires, and works on the whole stack in
+array code; a state with an entry that is not finite raises
+:class:`NumericalInvariantError`, and an empty stack gives empty columns.
+:func:`discord` returns every measure at once as one :class:`Correlations`
+record of columns: a float per field for one state, an (N,) array per field
+for a stack.
 
 Negativity is computed from the eigenvalues of the partial transpose taken
 on the HO side.  A state whose partial transpose a vectorized LDL^T
@@ -70,7 +73,7 @@ from ._kernels import (
     x_state_terms,
 )
 from .errors import ConfigError, NumericalInvariantError
-from .matops import (_COHERENCE_ORDER, _as_inexact, _positive_definite, partial_trace,
+from .matops import (_COHERENCE_ORDER, _positive_definite, _states, partial_trace,
                      partial_transpose_second)
 
 #: Largest trace deviation an entropy input may have.
@@ -145,12 +148,12 @@ _ORDER_ONE = np.abs(_COHERENCE_ORDER) == 1
 log = logging.getLogger(__name__)
 
 
-def _stack(rho: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``(states as (N, 4, 4), whether one state was given)``; real states stay real."""
-    rho = _as_inexact(rho)
-    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
-        raise ValueError(f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
-    return (rho[None], True) if rho.ndim == 2 else (rho, False)
+def _require_finite(finite: np.ndarray, single: bool) -> None:
+    """Raise on the first state whose ``finite`` flag, from :func:`bathlink.matops._states`,
+    is False, naming it as :func:`bathlink.dynamics.validate_density_matrix` does."""
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericalInvariantError(f"state{'' if single else f' {k}'}: entries are not finite")
 
 
 def negativity(rho: np.ndarray) -> float | np.ndarray:
@@ -165,7 +168,8 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
     holds every state's spectrum to the partial transpose itself.  A float
     for one state, an (N,) array for a stack.
     """
-    states, single = _stack(rho)
+    states, single, finite = _states(rho)
+    _require_finite(finite, single)
     pt = partial_transpose_second(states)
     h = pt + pt.conj().swapaxes(-1, -2)
     h /= 2
@@ -302,16 +306,11 @@ def _check_one_negative(eigs: np.ndarray, scale: np.ndarray, index: np.ndarray) 
         )
 
 
-def _checked_entropies(rho: np.ndarray) -> np.ndarray:
+def _entropy_bits(rho: np.ndarray) -> np.ndarray:
     """Von Neumann entropies (bits) of the matrices on the last two axes.
 
-    Every trace must be 1 within ``ENTROPY_TRACE_TOL``; eigenvalues of the
-    Hermitian part below zero are clipped to zero.
+    Eigenvalues of the Hermitian part below zero are clipped to zero.
     """
-    tr = np.trace(rho, axis1=-2, axis2=-1).real.ravel()
-    worst = tr[np.argmax(np.abs(tr - 1.0))]
-    if abs(worst - 1.0) > ENTROPY_TRACE_TOL:
-        raise ConfigError(f"entropy input has trace {worst:.9g}, expected 1")
     eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2)
     eigs = np.clip(eigs, 0.0, None)
     terms = np.where(eigs > 0.0, eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
@@ -319,10 +318,18 @@ def _checked_entropies(rho: np.ndarray) -> np.ndarray:
 
 
 def _entropies(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(S(rho_Q), S(rho_Q) + S(rho_HO) - S(rho))`` of an (N, 4, 4) stack, in bits."""
-    s_q = _checked_entropies(partial_trace(states, "first"))
-    s_ho = _checked_entropies(partial_trace(states, "second"))
-    return s_q, s_q + s_ho - _checked_entropies(states)
+    """``(S(rho_Q), S(rho_Q) + S(rho_HO) - S(rho))`` of an (N, 4, 4) stack, in bits.
+
+    Every trace, which the partial traces keep, must be 1 within
+    ``ENTROPY_TRACE_TOL``; one that is not finite fails.
+    """
+    tr = np.trace(states, axis1=1, axis2=2).real
+    deviation = np.abs(tr - 1.0)
+    if not (deviation <= ENTROPY_TRACE_TOL).all():
+        raise ConfigError(f"entropy input has trace {tr[np.argmax(deviation)]:.9g}, expected 1")
+    s_q = _entropy_bits(partial_trace(states, "first"))
+    s_ho = _entropy_bits(partial_trace(states, "second"))
+    return s_q, s_q + s_ho - _entropy_bits(states)
 
 
 def mutual_information(rho: np.ndarray) -> float | np.ndarray:
@@ -330,7 +337,8 @@ def mutual_information(rho: np.ndarray) -> float | np.ndarray:
 
     A float for one state, an (N,) array for a stack.
     """
-    states, single = _stack(rho)
+    states, single, finite = _states(rho)
+    _require_finite(finite, single)
     total = _entropies(states)[1]
     return float(total[0]) if single else total
 
@@ -574,7 +582,8 @@ def discord(rho: np.ndarray) -> Correlations:
     record: floats for one state, (N,) arrays for an (N, 4, 4) stack.  Each
     state's result does not depend on the rest of the stack.
     """
-    states, single = _stack(rho)
+    states, single, finite = _states(rho)
+    _require_finite(finite, single)
     s_q, total = _entropies(states)
     best, theta, phi = _minimize_conditional_entropy(states)
     classical = s_q - best

@@ -34,7 +34,8 @@ import numpy as np
 
 from ._format import write_table
 from .errors import ConfigError, NumericalInvariantError, StabilityError
-from .matops import _COHERENCE_ORDER, _as_inexact, _positive_definite, matrix_exp, unvec, vec
+from .matops import (_COHERENCE_ORDER, _as_inexact, _positive_definite, _states, matrix_exp,
+                     unvec, vec)
 from .model import Liouvillian
 
 log = logging.getLogger(__name__)
@@ -53,8 +54,9 @@ def validate_density_matrix(
     """Check finite entries, unit trace, Hermiticity, and positivity; return the traces.
 
     The tolerances are ``TRACE_TOL``, ``HERM_TOL`` and ``PSD_TOL``.  ``rho``
-    is one state ``(4, 4)`` or a stack ``(N, 4, 4)``; a state with a
-    non-finite entry fails as such.  The first failing state of a stack is
+    is one state ``(4, 4)`` or a stack ``(N, 4, 4)``, as
+    :func:`bathlink.matops._states` requires; a state with a non-finite
+    entry fails as such.  The first failing state of a stack is
     named by its time in ``times`` when given, else by its index.  A valid
     ``rho`` gives the real part of each trace, of shape ``()`` or ``(N,)``.
 
@@ -68,24 +70,19 @@ def validate_density_matrix(
     differ by at most ``sqrt(3) * HERM_TOL`` (Weyl's inequality) once
     Hermiticity holds, far inside ``PSD_TOL``.
     """
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
-        raise NumericalInvariantError(f"{context}: expected 4x4, got {rho.shape}")
-    stack = rho.reshape(-1, 4, 4)
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack, single, finite = _states(rho)
     stack = stack if finite.all() else np.where(finite[:, None, None], stack, np.eye(4) / 4)
     tr = np.trace(stack, axis1=1, axis2=2)
     tr_dev = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     bad = ~finite | (tr_dev >= TRACE_TOL) | (herm_dev >= HERM_TOL)
-    if not bad.any() and _positive_definite(stack, PSD_TOL).all():
-        return tr.real.reshape(rho.shape[:-2])
-    min_eig = np.linalg.eigvalsh(stack).min(axis=1)
-    bad |= min_eig <= PSD_TOL
+    if bad.any() or not _positive_definite(stack, PSD_TOL).all():
+        min_eig = np.linalg.eigvalsh(stack).min(axis=1)
+        bad |= min_eig <= PSD_TOL
     if not bad.any():
-        return tr.real.reshape(rho.shape[:-2])
+        return tr.real.reshape(() if single else -1)
     k = int(np.argmax(bad))
-    if rho.ndim == 3:
+    if not single:
         context = f"{context} at t={times[k]:g}" if times is not None else f"{context} {k}"
     if not finite[k]:
         raise NumericalInvariantError(f"{context}: entries are not finite")
@@ -118,11 +115,33 @@ def product_state(p: float | np.ndarray, q: float | np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi[..., None, :]
 
 
+def _time_grid(times: np.ndarray) -> np.ndarray:
+    """``times`` as a float array; :class:`ConfigError` unless it is 1-D, non-empty and
+    finite, starts at 0 and increases strictly."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ConfigError("times must be a non-empty 1-D sequence")
+    if not np.isfinite(times).all():
+        raise ConfigError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        raise ConfigError("times must start at 0 and increase strictly")
+    return times
+
+
+def _initial_state(rho0: np.ndarray) -> np.ndarray:
+    """``rho0`` as one checked ``(4, 4)`` state, float64 if real, complex128 if complex."""
+    stack, single, _ = _states(rho0)
+    if not single:
+        raise ConfigError(f"initial state must be one (4, 4) state, got {stack.shape}")
+    validate_density_matrix(stack[0], context="initial state")
+    return stack[0]
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
     """Time-ordered states of one propagation.
 
-    ``times`` is strictly increasing with ``times[0] = 0``.  ``frame_states``
+    ``times`` is finite and strictly increasing with ``times[0] = 0``.  ``frame_states``
     are the states as propagated, in the frame rotating at ``frame_omega``
     (the generator's omega for both propagators, else 0, the lab frame):
     every one satisfies the density-matrix invariants as stored, and
@@ -139,14 +158,12 @@ class Trajectory:
     trace: np.ndarray = field(repr=False)
 
     def __init__(self, times: np.ndarray, states: np.ndarray, frame_omega: float = 0.0):
-        times = np.asarray(times, dtype=float)
+        times = _time_grid(times)
         states = _as_inexact(states)
-        if times.ndim != 1 or states.shape != (times.size, 4, 4):
+        if states.shape != (times.size, 4, 4):
             raise NumericalInvariantError(
                 f"inconsistent trajectory shapes {times.shape} / {states.shape}"
             )
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise NumericalInvariantError("times must start at 0 and increase strictly")
         trace = validate_density_matrix(states, times=times)
         for name, value in (("times", times), ("frame_states", states),
                             ("frame_omega", float(frame_omega)), ("trace", trace)):
@@ -225,8 +242,7 @@ def evolve_rk(
     ``-k`` block, share each eigenvalue ``lambda``, so ``S`` has ``lambda -+
     i omega k``, and the larger of the two moduli is at least ``|lambda|``.
     """
-    rho0 = _as_inexact(rho0)
-    validate_density_matrix(rho0, context="initial state")
+    rho0 = _initial_state(rho0)
     if not 0.0 <= t_max < math.inf:
         raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
     if steps < 1:
@@ -302,15 +318,8 @@ def evolve_exact(
     """
     single = isinstance(liouvillian, Liouvillian)
     generators = [liouvillian] if single else list(liouvillian)
-    rho0 = _as_inexact(rho0)
-    validate_density_matrix(rho0, context="initial state")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ConfigError("times must be a non-empty 1-D sequence")
-    if not np.isfinite(times).all():
-        raise ConfigError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ConfigError("times must start at 0 and increase strictly")
+    rho0 = _initial_state(rho0)
+    times = _time_grid(times)
     dts = np.diff(times)
     if dts.size and np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
         maps = itertools.repeat(_maps(generators, float(dts[0])), dts.size)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalInvariantError
+from .errors import ConfigError, NumericalInvariantError
 
 ID2 = np.eye(2)
 SIGMA_P = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -35,6 +35,21 @@ def _as_inexact(a: np.ndarray) -> np.ndarray:
     """``a`` as a float64 array if it is real, complex128 if it is complex."""
     a = np.asarray(a)
     return a.astype(np.result_type(a, float), copy=False)
+
+
+def _states(rho: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
+    """``(stack, single, finite)`` of one ``(4, 4)`` state or an ``(N, 4, 4)`` stack.
+
+    ``stack`` is ``rho`` as ``(N, 4, 4)``, float64 if it is real and
+    complex128 if it is complex; ``single`` says whether one state was given;
+    ``finite`` says, per state, whether every entry is finite.  Any other
+    shape raises :class:`ConfigError`.
+    """
+    rho = _as_inexact(rho)
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise ConfigError(f"expected a (4, 4) state or an (N, 4, 4) stack, got {rho.shape}")
+    stack = rho.reshape(-1, 4, 4)
+    return stack, rho.ndim == 2, np.isfinite(stack).all(axis=(1, 2))
 
 
 def _positive_definite(h: np.ndarray, margin: float | np.ndarray) -> np.ndarray:

@@ -42,8 +42,11 @@ def witness_vector(
 
     Built from the local states orthogonal to each factor, so the overlap
     with the product state vanishes for every (alpha, beta, vartheta),
-    giving ``Xi(0) = 0`` by construction.
+    giving ``Xi(0) = 0`` by construction.  An amplitude outside [-1, 1] or a
+    coefficient that is not finite raises :class:`ConfigError`.
     """
+    _check_amplitudes(p, q)
+    _check_finite(alpha=alpha, beta=beta, vartheta=vartheta)
     sp = math.sqrt(1.0 - p * p)
     sq = math.sqrt(1.0 - q * q)
     a = np.array([p, sp], dtype=complex)
@@ -69,11 +72,13 @@ def dxi0_quadratic(kappa1: float, kappa3: float, params: ModelParams) -> float:
     :func:`dxi0_general` at ``(p, q) = (1, 0)`` with ``(alpha, beta) =
     (-kappa3, kappa1)``.
     """
+    _check_finite(kappa1=kappa1, kappa3=kappa3)
     return dxi0_general(1.0, 0.0, -kappa3, kappa1, params)
 
 
 def quadratic_roots(kappa3: float, params: ModelParams) -> tuple[float, float]:
     """Roots in kappa1 of the rate quadratic: the rate is negative strictly between them."""
+    _check_finite(kappa3=kappa3)
     g1, g2, eta = params.gamma1, params.gamma2, params.eta
     if eta == 0 or g1 == 0:
         raise ConfigError("root interval requires eta > 0 and gamma1 > 0")
@@ -130,9 +135,11 @@ def dxi0_general(
     closed form.  It is summed at (alpha, beta) times the power of two that
     brings the larger into [0.5, 1) and scaled back (exact at ordinary sizes),
     so a negative rate that underflows keeps its sign as -0.0; a rate past
-    the float range raises :class:`NumericalInvariantError`.
+    the float range raises :class:`NumericalInvariantError`, and an amplitude
+    outside [-1, 1] or a coefficient that is not finite :class:`ConfigError`.
     """
     _check_amplitudes(p, q)
+    _check_finite(alpha=alpha, beta=beta)
     return _form_rate(quadratic_coefficients(p, q, params), alpha, beta)
 
 

@@ -399,9 +399,9 @@ def test_measures_are_even_under_the_parity_flip_of_p_and_q(gamma1, gamma2, eta,
 
 def test_trajectory_validates_times():
     states = np.repeat(product_state(1.0, 0.0)[None], 2, axis=0)
-    with pytest.raises(NumericalInvariantError):
+    with pytest.raises(ConfigError, match=r"^times must start at 0 and increase strictly$"):
         Trajectory(times=np.array([0.1, 0.2]), states=states)
-    with pytest.raises(NumericalInvariantError):
+    with pytest.raises(ConfigError, match=r"^times must start at 0 and increase strictly$"):
         Trajectory(times=np.array([0.0, 0.0]), states=states)
 
 
@@ -555,7 +555,8 @@ def test_validate_stack_reports_first_bad_state():
     with pytest.raises(NumericalInvariantError, match=r"^one: trace deviates"):
         validate_density_matrix(states[3], context="one")
     validate_density_matrix(states[[0, 2]])
-    with pytest.raises(NumericalInvariantError, match="expected 4x4"):
+    with pytest.raises(ConfigError, match=r"^expected a \(4, 4\) state or an \(N, 4, 4\) "
+                                          r"stack, got \(1, 4, 4, 4\)$"):
         validate_density_matrix(states[None])
 
 
