@@ -73,7 +73,7 @@ from ._kernels import (
     x_state_terms,
 )
 from .errors import ConfigError, NumericalInvariantError
-from .matops import (_COHERENCE_ORDER, _positive_definite, _states, partial_trace,
+from .matops import (_COHERENCE_ORDER, _positive_definite, _states, hermitize, partial_trace,
                      partial_transpose_second)
 
 #: Largest trace deviation an entropy input may have.
@@ -98,21 +98,12 @@ def _scan_neighbours() -> np.ndarray:
     """
     nt, nphi = SCAN_THETAS.size, SCAN_PHIS.size
     half = nphi // 2
-
-    def index(i: int, j: int) -> int:
-        if i < 0:
-            i, j = -i, j + half
-        elif i >= nt:
-            i, j = 2 * (nt - 1) - i, j + half
-        j %= nphi
-        if i == 0:
-            j = 0
-        elif i == nt - 1 and j >= half:
-            j -= half
-        return i * nphi + j
-
-    return np.array([[index(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-                     for i in range(nt) for j in range(nphi)])
+    i, j, di, dj = np.ix_(np.arange(nt), np.arange(nphi), (-1, 0, 1), (-1, 0, 1))
+    i, j = i + di, j + dj
+    j = (j + half * ((i < 0) | (i >= nt))) % nphi
+    i = np.minimum(np.abs(i), 2 * (nt - 1) - i)
+    j = np.where(i == 0, 0, np.where((i == nt - 1) & (j >= half), j - half, j))
+    return (i * nphi + j).reshape(nt * nphi, 9)
 
 
 _SCAN_NEIGHBOURS = _scan_neighbours()
@@ -156,6 +147,7 @@ def _require_finite(finite: np.ndarray, single: bool) -> None:
         raise NumericalInvariantError(f"state{'' if single else f' {k}'}: entries are not finite")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def negativity(rho: np.ndarray) -> float | np.ndarray:
     """Absolute sum of negative partial-transpose eigenvalues.
 
@@ -171,8 +163,7 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
     states, single, finite = _states(rho)
     _require_finite(finite, single)
     pt = partial_transpose_second(states)
-    h = pt + pt.conj().swapaxes(-1, -2)
-    h /= 2
+    h = hermitize(pt)
     traces = _traces(states, pt)
     certified = _certified(h, traces)
     if certified is None:
@@ -311,12 +302,13 @@ def _entropy_bits(rho: np.ndarray) -> np.ndarray:
 
     Eigenvalues of the Hermitian part below zero are clipped to zero.
     """
-    eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    eigs = np.linalg.eigvalsh(hermitize(rho))
     eigs = np.clip(eigs, 0.0, None)
     terms = np.where(eigs > 0.0, eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0)), 0.0)
     return np.maximum(-terms.sum(axis=-1), 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _entropies(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(S(rho_Q), S(rho_Q) + S(rho_HO) - S(rho))`` of an (N, 4, 4) stack, in bits.
 

@@ -48,6 +48,7 @@ HERM_TOL = 1e-10
 PSD_TOL = -1e-8
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_density_matrix(
     rho: np.ndarray, context: str = "state", times: np.ndarray | None = None
 ) -> np.ndarray:

@@ -26,9 +26,9 @@ _COHERENCE_ORDER = np.subtract.outer(_EXCITATIONS, _EXCITATIONS)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part ``(A + A^dagger)/2``."""
-    a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2
+    """Hermitian part ``A/2 + A^dagger/2`` of each matrix of ``(..., n, n)``; real if ``a`` is."""
+    a = _as_inexact(a)
+    return a / 2 + a.conj().swapaxes(-1, -2) / 2
 
 
 def _as_inexact(a: np.ndarray) -> np.ndarray:
@@ -119,60 +119,44 @@ _PADE_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _norm1(a: np.ndarray) -> list[float]:
+def _norm1(a: np.ndarray) -> np.ndarray:
     """The 1-norm of each matrix of a stack ``(K, n, n)``."""
-    return np.abs(a).sum(axis=-2).max(axis=-1).tolist()
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
-def _ell(norm: float, power: float) -> float:
-    """Extra squarings that keep the degree-13 truncation error at unit roundoff.
-
-    ``ell(A, 13)`` of Al-Mohy & Higham (2009), from the exact 1-norms of ``A``
-    and of ``|A|^27`` (infinite where it overflows).
-    """
-    if norm == 0.0:
-        return 0
-    # |c_27| = (13!)^2 / (26! 27!), the leading backward-error coefficient
-    alpha = power / (norm * math.comb(26, 13) * math.factorial(27))
-    if alpha <= _UNIT_ROUNDOFF:
-        return 0
-    value = math.log2(alpha / _UNIT_ROUNDOFF) / 26
-    return math.ceil(value) if math.isfinite(value) else math.inf
-
-
-def _scaled(a: np.ndarray, s: list[int], k: int) -> np.ndarray:
-    """Each matrix of the stack ``a`` times its own ``2^-(k s)``."""
-    return a * np.array([2.0 ** -(k * sk) for sk in s])[:, None, None]
-
-
+@np.errstate(all="ignore")
 def _pade_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``r_13(2^-s A)`` and the s squarings to ``exp(A)`` of each matrix of ``(..., n, n)``.
 
-    Each matrix has its own ``s``, of shape ``a.shape[:-2]``, from scalar
-    arithmetic on its own norms; the products, the Pade step and the solve
-    run over the whole stack.  A matrix whose norms are not finite gives NaN
-    and 0 squarings.
+    Each matrix has its own ``s``, of shape ``a.shape[:-2]``, from array
+    arithmetic on the stack's norms: the count from the exact 1-norms of
+    ``A^6``, ``A^8`` and ``A^10``, plus ``ell(A, 13)`` of Al-Mohy & Higham
+    (2009), the extra squarings that keep the degree-13 truncation error at
+    unit roundoff, from those of ``2^-s A`` and ``|2^-s A|^27``.  The
+    products, the Pade step and the solve run over the whole stack.  A matrix
+    whose count is not finite (NaN or inf) gives NaN and 0 squarings.
     """
     shape = a.shape
     a = a.reshape((-1,) + shape[-2:])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    start = []
-    for n6, n8, n10 in zip(_norm1(a6), _norm1(a6 @ a2), _norm1(a6 @ a4)):
-        d8 = n8 ** 0.125
-        eta = min(max(n6 ** (1 / 6), d8), max(d8, n10 ** 0.1))
-        if not eta < math.inf:
-            start.append(math.inf)
-        else:
-            start.append(max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta > 0 else 0)
-    scaled = _scaled(a, start, 1)
-    power = np.linalg.matrix_power(np.abs(scaled), 27)
-    s = [s0 + _ell(norm, pk) for s0, norm, pk in zip(start, _norm1(scaled), _norm1(power))]
-    failed = [k for k, sk in enumerate(s) if not math.isfinite(sk)]
-    s = [sk if math.isfinite(sk) else 0 for sk in s]
-    a, a2, a4, a6 = (_scaled(x, s, k) for k, x in zip((1, 2, 4, 6), (a, a2, a4, a6)))
-    if failed:  # guarded: the first indexed store maps 64 kB more of numpy's code
+    # fmax and fmin skip the NaN norm of a product that overflowed where another is finite
+    d8 = _norm1(a6 @ a2) ** 0.125
+    eta = np.fmin(np.fmax(_norm1(a6) ** (1 / 6), d8), np.fmax(d8, _norm1(a6 @ a4) ** 0.1))
+    start = np.maximum(np.ceil(np.log2(eta / _THETA_13)), 0.0)
+    scaled = a * np.exp2(-start)[:, None, None]
+    norm = _norm1(scaled)
+    # |c_27| = (13!)^2 / (26! 27!), the leading backward-error coefficient
+    alpha = _norm1(np.linalg.matrix_power(np.abs(scaled), 27)) / (
+        norm * float(math.comb(26, 13)) * float(math.factorial(27)))
+    ell = np.maximum(np.ceil(np.log2(alpha / _UNIT_ROUNDOFF) / 26), 0.0)
+    s = start + np.where(norm == 0.0, 0.0, ell)  # a zero matrix's alpha is 0/0
+    failed = ~np.isfinite(s)
+    s = np.where(failed, 0.0, s)
+    a, a2, a4, a6 = (x * np.exp2(-k * s)[:, None, None]
+                     for k, x in zip((1, 2, 4, 6), (a, a2, a4, a6)))
+    if failed.any():  # guarded: the first indexed store maps 64 kB more of numpy's code
         for x in (a, a2, a4, a6):
             x[failed] = 0.0
     b = _PADE_B
@@ -185,9 +169,9 @@ def _pade_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # r_13(A) = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U
     r = 2.0 * np.linalg.solve(v - u, u)
     r[diag] += 1.0
-    if failed:
+    if failed.any():
         r[failed] = np.nan
-    return r.reshape(shape), np.array(s, dtype=int).reshape(shape[:-2])
+    return r.reshape(shape), s.astype(int).reshape(shape[:-2])
 
 
 def matrix_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:

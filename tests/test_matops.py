@@ -252,6 +252,27 @@ def test_matrix_exp_of_a_stack_rejects_one_non_finite_result():
         matrix_exp(stack, 1.0)
 
 
+def test_pade_exp_counts_each_matrix_of_a_mixed_stack_as_on_its_own():
+    # seeded dense draws, in two of which ell(A, 13) adds the only squaring, the
+    # sixth draw times 8 (3 scaling squarings plus that one), and edge matrices
+    # (zero, NaN, inf, 1e200-filled, 700 I, -1e6 I); the expected counts are
+    # those of the scalar recipe of Al-Mohy & Higham, one matrix at a time
+    from bathlink.matops import _pade_exp, matrix_exp
+
+    rng = np.random.default_rng(1)
+    draws = [rng.normal(size=(6, 6)) for _ in range(16)]
+    edges = [np.zeros((6, 6)), np.full((6, 6), np.nan), np.full((6, 6), np.inf),
+             np.full((6, 6), 1e200), 700.0 * np.eye(6), -1e6 * np.eye(6)]
+    stack = np.stack(draws + [8.0 * draws[5]] + edges)
+    failing = np.isin(np.arange(len(stack)), [18, 19, 20])
+    r, s = _pade_exp(stack)
+    assert s.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 4] + [0, 0, 0, 0, 8, 18]
+    assert s.tolist() == [int(_pade_exp(a)[1]) for a in stack]
+    assert np.isnan(r[failing]).all() and not np.isnan(r[~failing]).any()
+    with pytest.raises(NumericalInvariantError, match=r"^exp\(t A\) is not finite at t=1$"):
+        matrix_exp(stack)
+
+
 def test_transposes_and_traces_keep_real_states_real():
     rho = bell_state("phi-").real
     assert partial_transpose_second(rho).dtype == np.float64

@@ -64,6 +64,26 @@ STATES = {
     "3x3 matrix": (np.eye(3) / 3, ConfigError, SHAPE.format(r"\(3, 3\)")),
     "scalar": (1.0, ConfigError, SHAPE.format(r"\(\)")),
 }
+#: Finite states whose arithmetic overflows: the trace, or ``pt @ pt`` in the
+#: negativity's spectrum check.  Each measure ends in its own package error,
+#: with no RuntimeWarning on the way (the suite's filters make one an error).
+OVERFLOWING_STATES = {
+    "entries 1e308": (np.diag([1e308, 1e308, -1e308, -1e308 + 1]), {
+        "negativity": (NumericalInvariantError, r"^negativity: state 0: sum of eigenvalues -inf "
+                                                r"does not match tr\(rho\) inf\+0j$"),
+        "mutual_information": (ConfigError, r"^entropy input has trace inf, expected 1$"),
+        "discord": (ConfigError, r"^entropy input has trace inf, expected 1$"),
+        "validate_density_matrix": (NumericalInvariantError, r"^state: trace deviates by inf$"),
+    }),
+    "entries 1e200": (np.diag([1e200, 1.0, 1.0, -1e200]), {
+        "negativity": (NumericalInvariantError, r"^negativity: state 0: sum of squares inf "
+                                                r"does not match tr\(pt\^2\) inf\+0j$"),
+        "mutual_information": (ConfigError, r"^entropy input has trace 0, expected 1$"),
+        "discord": (ConfigError, r"^entropy input has trace 0, expected 1$"),
+        "validate_density_matrix": (NumericalInvariantError,
+                                    r"^state: trace deviates by 1\.000e\+00$"),
+    }),
+}
 INITIAL_STATES = {
     "stack of two": (np.stack([RHO, RHO]), ConfigError,
                      r"^initial state must be one \(4, 4\) state, got \(2, 4, 4\)$"),
@@ -126,6 +146,10 @@ def _cases():
     for entry, measure in MEASURES.items():
         for kind, (rho, error, message) in STATES.items():
             yield pytest.param(lambda m=measure, r=rho: m(r), error, message,
+                               id=f"{entry}-{kind}")
+    for kind, (rho, outcomes) in OVERFLOWING_STATES.items():
+        for entry, (error, message) in outcomes.items():
+            yield pytest.param(lambda m=MEASURES[entry], r=rho: m(r), error, message,
                                id=f"{entry}-{kind}")
     for entry, propagate in PROPAGATORS.items():
         for kind, (rho0, error, message) in INITIAL_STATES.items():
