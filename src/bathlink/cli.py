@@ -6,7 +6,9 @@ that time.  Exit codes: 0 success, 2 configuration error, 3 numerical
 invariant failure.  Output files are written atomically (temp file +
 rename); tables print 12 significant digits and the region, steady-state
 and witness JSON files full ``repr`` floats, so identical configurations
-produce byte-identical files.
+produce byte-identical files on one machine, with the same numpy and BLAS
+builds and the same CPU dispatch: numpy's SIMD kernels can change the last
+printed digit.
 """
 
 from __future__ import annotations
@@ -319,6 +321,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise ConfigError("config error: give either --kappa1/--kappa3 or --p/--q, not both")
     if not kappa_mode and not pq_mode:
         raise ConfigError("config error: give --kappa1/--kappa3 or --p/--q")
+    if kappa_mode and (args.alpha is not None or args.beta is not None):
+        raise ConfigError("config error: --alpha/--beta apply to the (p, q) form only")
+    if pq_mode and args.kappa2 is not None:
+        raise ConfigError("config error: --kappa2 applies to the kappa form only")
+    if pq_mode and args.roots:
+        raise ConfigError("config error: --roots applies to the kappa form only")
     payload: dict = {"params": params.to_dict()}
     if kappa_mode:
         _require(args, ["kappa1", "kappa3"])
@@ -340,8 +348,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         report = report_for_product_state(args.p, args.q, params, args.alpha, args.beta)
         payload.update(report.to_dict())
         payload["excess"] = is_entangling(args.p, args.q, params)[1]
-        if args.roots:
-            raise ConfigError("config error: --roots applies to the kappa form only")
     write_json(args.out, payload)
     return 0
 

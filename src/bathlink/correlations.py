@@ -22,11 +22,29 @@ largest eigenvalue magnitude.
 
 Discord minimizes the measured conditional entropy over projective
 measurements of the HO part, that is over Bloch axes ``n`` (``n`` and ``-n``
-define the same measurement).  Each state takes one of two routes, each run
-for its whole part of the stack at once.  Both scan, then search from the
-state's best scan point and from the best other local minimum of the scan;
-where the scan has no other local minimum, the general route searches from
-the next-best point and the X route makes no second search.
+define the same measurement): the entropy of Q left after measuring HO with
+the projectors ``(1 +- n.sigma)/2``.  The two unnormalized conditional Q
+states are
+
+    M_+- = Tr_HO[(1 (x) (1 +- n.sigma)/2) rho] = (rho_Q +- n.T)/2,
+    T_j = Tr_HO[(1 (x) sigma_j) rho],
+
+which are linear in ``n``.  So each state needs only ``rho_Q`` and the three
+``T_j`` (:func:`measurement_operators`), and a whole stack of states and a
+whole set of axes go through one array program.  The eigenvalues of each
+2x2 ``M`` come from its trace ``p`` and determinant: the larger one is
+``(p + sqrt(p^2 - 4 det))/2`` and the smaller one ``det`` divided by the
+larger, which keeps nearly pure conditional states accurate.  The measured
+conditional entropy ``sum_+- p_+- S(M_+- / p_+-)`` is in bits, and outcomes
+with probability at most ``_P_FLOOR`` (1e-12) contribute zero; both routes
+below take each 2x2 entropy in :func:`_neg_weighted_entropy`, the one home
+of that floor.
+
+Each state takes one of two routes, each run for its whole part of the
+stack at once.  Both scan, then search from the state's best scan point and
+from the best other local minimum of the scan; where the scan has no other
+local minimum, the general route searches from the next-best point and the
+X route makes no second search.
 
 * X-shaped states, whose eight coherence-order +-1 entries are all exactly
   0.0 (every state of a trajectory from ``|0>_Q |1>_HO`` is one), have their
@@ -37,10 +55,10 @@ the next-best point and the X route makes no second search.
   iteration).  The optimum may lie inside the interval (Yurischev, Quantum
   Inf. Process. 14, 3399 (2015)), so neither end is assumed.
 * Every other state: a coarse hemisphere scan of 9 x 16 Bloch angles (121
-  distinct axes) by :func:`bathlink._kernels.conditional_entropy_grid`, then
-  a safeguarded Newton iteration in tangent-plane coordinates around the
-  current axis, from a 9-point finite-difference stencil and a 5-point
-  step-length search (13 evaluations per iteration).
+  distinct axes) by :func:`conditional_entropy_grid`, then a safeguarded
+  Newton iteration in tangent-plane coordinates around the current axis,
+  from a 9-point finite-difference stencil and a 5-point step-length search
+  (13 evaluations per iteration).
 
 A search moves only to a strictly lower value, so the result never loses to
 the scan optimum or to any stencil point, and it stops as soon as an
@@ -64,14 +82,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    bloch_axes,
-    conditional_entropy,
-    conditional_entropy_grid,
-    measurement_operators,
-    x_state_entropy,
-    x_state_terms,
-)
 from .errors import ConfigError, NumericalInvariantError
 from .matops import (_COHERENCE_ORDER, _positive_definite, _states, hermitize, partial_trace,
                      partial_transpose_second)
@@ -135,6 +145,16 @@ _X_SCAN_NEIGHBOURS = np.stack([np.abs(_X_INDEX - 1), _X_INDEX,
                                np.minimum(_X_INDEX + 1, 2 * _X_INDEX[-1] - _X_INDEX - 1)], axis=-1)
 #: Entries of coherence order +-1; a state with all eight exactly 0.0 is X-shaped.
 _ORDER_ONE = np.abs(_COHERENCE_ORDER) == 1
+_P_FLOOR = 1e-12
+#: State-axis pairs per grid-scan block: the scan's temporaries stay near
+#: 1 MB whatever the length of the stack or the size of the grid.
+_BLOCK_PAIRS = 6144
+#: The signs of the two measurement outcomes, on a leading axis.
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
 
 log = logging.getLogger(__name__)
 
@@ -353,6 +373,116 @@ class Correlations:
     phi: float | np.ndarray
 
 
+def measurement_operators(states: np.ndarray) -> np.ndarray:
+    """``rho_Q, T_x, T_y, T_z`` of each state as (N, 4, 4) real entries.
+
+    Row ``a`` holds ``(O00, O11, Re O01, Im O01)`` of ``O = Tr_HO[(1 (x)
+    sigma_a) rho]`` with ``sigma_0 = 1``, so ``O_0 = rho_Q``.
+    """
+    r = np.asarray(states).reshape(-1, 2, 2, 2, 2)
+    ops = np.einsum("akh,nqhpk->naqp", _PAULI, r)
+    return np.stack(
+        [ops[..., 0, 0].real, ops[..., 1, 1].real, ops[..., 0, 1].real, ops[..., 0, 1].imag],
+        axis=-1,
+    )
+
+
+def bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Unit vectors ``(sin t cos p, sin t sin p, cos t)`` stacked on a last axis."""
+    s = np.sin(thetas)
+    return np.stack([s * np.cos(phis), s * np.sin(phis), np.cos(thetas)], axis=-1)
+
+
+def conditional_entropy(ops: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Measured conditional entropy (bits) of each state along each axis.
+
+    ``ops`` is the (N, 4, 4) output of :func:`measurement_operators`;
+    ``axes`` holds unit vectors, either (K, 3) shared by every state or
+    (N, K, 3) per state.  Returns (N, K).
+    """
+    total = 0.0
+    for sign in (1.0, -1.0):
+        m = (ops[:, None, 0, :] + sign * (axes @ ops[:, 1:, :])) / 2.0
+        p = m[..., 0] + m[..., 1]
+        det = m[..., 0] * m[..., 1] - m[..., 2] ** 2 - m[..., 3] ** 2
+        total = total - _neg_weighted_entropy(p, det)
+    return total
+
+
+def _neg_weighted_entropy(p: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """``-p S(M/p)`` (bits) of 2x2 Hermitian ``M`` from its trace ``p`` and determinant.
+
+    The larger eigenvalue is ``(p + sqrt(p^2 - 4 det))/2`` and the smaller one
+    ``det`` divided by it; an ``M`` with ``p <= _P_FLOOR`` gives zero.
+    """
+    big = (p + np.sqrt(np.maximum(p * p - 4.0 * det, 0.0))) / 2.0
+    live = p > _P_FLOOR
+    safe_p = np.where(live, p, 1.0)
+    hi = np.clip(big / safe_p, 0.0, 1.0)
+    lo = np.clip(det / np.where(live, big, 1.0) / safe_p, 0.0, 1.0)
+    terms = sum(np.where(f > 0.0, f * np.log2(np.where(f > 0.0, f, 1.0)), 0.0) for f in (hi, lo))
+    return np.where(live, p * terms, 0.0)
+
+
+def x_state_terms(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(coefficients, best azimuth)`` of X-shaped states for :func:`x_state_entropy`.
+
+    An X state has no coherence-order +-1 entries, so ``rho_Q`` and ``T_z``
+    are diagonal and ``T_x``, ``T_y`` hold only ``rho_03`` and ``rho_12``.
+    Along the axis at Bloch angles ``(theta, phi)`` the off-diagonal entry of
+    ``M_+-`` is ``+-sin(theta) (rho_03 e^{i phi} + rho_12 e^{-i phi})/2``, whose
+    modulus, and so the information gained, is largest at ``phi = (arg rho_12
+    - arg rho_03)/2`` (0 when either entry is 0: then every ``phi`` is
+    optimal).  Row ``k`` of the coefficients is ``(rho_Q00, rho_Q11, T_z00,
+    T_z11, (|rho_03| + |rho_12|)^2 / 4)``.
+    """
+    states = np.asarray(states)
+    diag = states[:, [0, 1, 2, 3], [0, 1, 2, 3]].real
+    rho03, rho12 = states[:, 0, 3], states[:, 1, 2]
+    coherent = (rho03 != 0.0) & (rho12 != 0.0)
+    phi = np.where(coherent, (np.angle(rho12) - np.angle(rho03)) / 2.0, 0.0)
+    coefficients = np.stack([diag[:, 0] + diag[:, 1], diag[:, 2] + diag[:, 3],
+                             diag[:, 0] - diag[:, 1], diag[:, 2] - diag[:, 3],
+                             (np.abs(rho03) + np.abs(rho12)) ** 2 / 4.0], axis=-1)
+    return coefficients, np.mod(phi, 2.0 * np.pi)
+
+
+def x_state_entropy(coefficients: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Measured conditional entropy (bits) of X states at each polar angle and the best azimuth.
+
+    ``coefficients`` is the (N, 5) output of :func:`x_state_terms`;
+    ``thetas`` is (K,) shared by every state or (N, K) per state.  Returns
+    (N, K).  With ``x = cos(theta)`` the measured states are ``M_+- =
+    diag(rho_Q00 +- x T_z00, rho_Q11 +- x T_z11)/2`` plus the off-diagonal
+    entry of squared modulus ``sin(theta)^2 (|rho_03| + |rho_12|)^2 / 4``.
+    """
+    x = _SIGNS * np.cos(thetas)
+    a = (coefficients[:, 0:1] + x * coefficients[:, 2:3]) / 2.0
+    b = (coefficients[:, 1:2] + x * coefficients[:, 3:4]) / 2.0
+    plus, minus = _neg_weighted_entropy(a + b, a * b - np.sin(thetas) ** 2 * coefficients[:, 4:])
+    return -plus - minus
+
+
+def conditional_entropy_grid(
+    states: np.ndarray, thetas: np.ndarray, phis: np.ndarray
+) -> np.ndarray:
+    """Measured conditional entropy of an (N, 4, 4) stack over a Bloch-angle grid.
+
+    Returns an (N, n_theta, n_phi) array in bits, computed a block of states
+    at a time, with ``_BLOCK_PAIRS`` state-axis pairs per block.
+    """
+    states = np.asarray(states)
+    th, ph = np.meshgrid(np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float),
+                         indexing="ij")
+    axes = bloch_axes(th.ravel(), ph.ravel())
+    out = np.empty((states.shape[0], th.size))
+    chunk = max(1, _BLOCK_PAIRS // th.size)
+    for start in range(0, states.shape[0], chunk):
+        block = states[start:start + chunk]
+        out[start:start + chunk] = conditional_entropy(measurement_operators(block), axes)
+    return out.reshape(states.shape[0], *th.shape)
+
+
 def _tangent_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit vectors that complete each (P, 3) unit axis to an orthonormal frame."""
     ref = np.where(np.abs(axis[:, 2:]) < 0.9, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
@@ -497,13 +627,13 @@ def _theta_step(coefficients, theta, value):
 def _x_searches(states: np.ndarray):
     """The X-state route: ``(values, thetas, phis, unconverged, moves)``, as the general one.
 
-    ``phi`` is in closed form (:func:`bathlink._kernels.x_state_terms`), so
-    only ``theta`` in ``[0, pi/2]`` is searched: a scan at ``_X_SCAN_THETAS``,
-    then a Newton search (:func:`_theta_step`) from each state's best scan
-    point, and a second one where the scan has another local minimum.  On a
-    1-D scan every basin wider than a scan step shows as a local minimum, so
-    the next-best point, the best point's neighbour, would seed nothing new;
-    a missing second search has value ``inf``.
+    ``phi`` is in closed form (:func:`x_state_terms`), so only ``theta`` in
+    ``[0, pi/2]`` is searched: a scan at ``_X_SCAN_THETAS``, then a Newton
+    search (:func:`_theta_step`) from each state's best scan point, and a
+    second one where the scan has another local minimum.  On a 1-D scan
+    every basin wider than a scan step shows as a local minimum, so the
+    next-best point, the best point's neighbour, would seed nothing new; a
+    missing second search has value ``inf``.
     """
     n = states.shape[0]
     coefficients, phi = x_state_terms(states)

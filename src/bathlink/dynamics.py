@@ -36,7 +36,7 @@ from ._format import write_table
 from .errors import ConfigError, NumericalInvariantError, StabilityError
 from .matops import (_COHERENCE_ORDER, _as_inexact, _positive_definite, _states, matrix_exp,
                      unvec, vec)
-from .model import Liouvillian
+from .model import Liouvillian, _block_spectrum
 
 log = logging.getLogger(__name__)
 
@@ -238,10 +238,11 @@ def evolve_rk(
     sample is stored as integrated and checked as it is; a failing check
     (too few steps, or so many that rounding dominates) says so.
 
-    Stability guard: ``h`` times ``S``'s radius must be below 1.  That bounds
-    ``D``'s radius: ``D``'s order-``k`` block and its transpose, the order
-    ``-k`` block, share each eigenvalue ``lambda``, so ``S`` has ``lambda -+
-    i omega k``, and the larger of the two moduli is at least ``|lambda|``.
+    Stability guard: ``h`` times ``D``'s spectral radius must be below 1.
+    ``P(hD)`` is the only matrix stepped, so the radius of ``D``, taken from
+    its coherence-order blocks without the ``-i omega k`` shift, is the one
+    that bounds the step; it does not depend on omega, while
+    ``liouvillian.spectral_radius``, ``S``'s, grows with it.
     """
     rho0 = _initial_state(rho0)
     if not 0.0 <= t_max < math.inf:
@@ -261,10 +262,10 @@ def evolve_rk(
         raise ConfigError(
             f"steps is too large for t_max={t_max:g}: the step size underflows to zero"
         )
-    if h * liouvillian.spectral_radius >= 1.0:
+    radius = float(np.abs(_block_spectrum(liouvillian.dissipator[None], np.zeros(1))).max())
+    if h * radius >= 1.0:
         raise StabilityError(
-            f"step size {h:.3e} times spectral radius "
-            f"{liouvillian.spectral_radius:.3e} is >= 1; increase steps"
+            f"step size {h:.3e} times spectral radius {radius:.3e} is >= 1; increase steps"
         )
     a = h * liouvillian.dissipator
     eye = np.eye(16)

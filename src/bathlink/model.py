@@ -214,7 +214,7 @@ class Liouvillian:
     ``eigenvalues`` are the 16 generator eigenvalues (real parts <= 0) in
     the order of ``D``'s coherence-order blocks: 6 of order 0, 4 each of
     orders +1 and -1, then one each of orders +2 and -2;
-    ``spectral_radius`` is ``max |eigenvalue|`` and bounds stable step sizes.
+    ``spectral_radius`` is ``max |eigenvalue|``, which grows with omega.
     ``dissipator`` is the real ``D`` of ``S = D - i omega diag(k)``, ``k``
     the coherence order of each vec entry: the generator in the frame
     rotating at ``omega``, where ``exp(t S) = diag(exp(-i omega t k)) exp(t D)``.

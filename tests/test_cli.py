@@ -11,7 +11,7 @@ import pytest
 from bathlink._format import fmt, write_table
 from bathlink.cli import main
 from bathlink.correlations import mutual_information
-from bathlink.dynamics import evolve_exact, product_state
+from bathlink.dynamics import evolve_exact, evolve_rk, product_state
 from bathlink.model import ModelParams, build_liouvillian
 from oracles import propagate
 
@@ -176,6 +176,23 @@ def test_simulate_bad_flag_combinations(tmp_path, capsys):
     assert main(["simulate", *CANON, "--eta", "1", "--p", "1", "--q", "0",
                  "--t-max", "1", "--steps", "50", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("omega", ["1e3", "1e6"])
+def test_simulate_rk4_default_steps_at_large_omega(tmp_path, omega):
+    # the guard reads D's radius, which omega leaves alone, so the default
+    # 1000 steps per unit time run; the states match the exact route's
+    common = ["simulate", "--gamma1", "1.01", "--gamma2", "0.01", "--omega", omega,
+              "--eta", "1", "--p", "1", "--q", "0", "--t-max", "6"]
+    tables = []
+    for name, method in (("exact.csv", []), ("rk4.csv", ["--method", "rk4"])):
+        assert main([*common, *method, "--out", str(tmp_path / name)]) == 0
+        tables.append(np.array(read_csv(tmp_path / name)[1]))
+    assert np.abs(tables[0] - tables[1])[:, :5].max() < 5e-12
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, 1.0, float(omega)))
+    rk4 = evolve_rk(liou, product_state(1.0, 0.0), 6.0, steps=6000)
+    exact = evolve_exact(liou, product_state(1.0, 0.0), rk4.times)
+    assert np.abs(rk4.frame_states - exact.frame_states).max() < 1e-12
 
 
 def test_simulate_stability_failure_leaves_no_file(tmp_path, capsys):
@@ -611,6 +628,35 @@ def test_witness_flag_validation(tmp_path, capsys):
     assert "kappa form" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,config,message", [
+    (["--kappa1", "0.5", "--kappa3", "1", "--alpha", "1", "--beta", "1"], {},
+     "--alpha/--beta apply to the (p, q) form only"),
+    (["--kappa1", "0.5", "--kappa3", "1"], {"alpha": 1},
+     "--alpha/--beta apply to the (p, q) form only"),
+    (["--p", "0.6", "--q", "0.3", "--kappa2", "1"], {}, "--kappa2 applies to the kappa form only"),
+    (["--p", "0.6", "--q", "0.3"], {"kappa2": 1}, "--kappa2 applies to the kappa form only"),
+    # refused before the report, so not as the amplitude error of p = 2
+    (["--p", "2", "--q", "0.3", "--roots"], {}, "--roots applies to the kappa form only"),
+    (["--p", "2", "--q", "0.3"], {"roots": True}, "--roots applies to the kappa form only"),
+], ids=["alpha-beta", "alpha-config", "kappa2", "kappa2-config", "roots", "roots-config"])
+def test_witness_refuses_the_other_forms_flags(tmp_path, capsys, monkeypatch, flags, config,
+                                               message):
+    import bathlink.cli as cli
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("a witness report was computed")
+
+    monkeypatch.setattr(cli, "report_for_kappas", no_report)
+    monkeypatch.setattr(cli, "report_for_product_state", no_report)
+    argv = ["witness", *CANON, "--eta", "1", *flags, "--out", str(tmp_path / "w.json")]
+    if config:
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert not (tmp_path / "w.json").exists()
+
+
 @pytest.mark.parametrize("amplitudes", [
     ["--p", "2", "--q", "0"],
     ["--p", "0.5", "--q", "1.5"],
@@ -899,7 +945,7 @@ def test_cli_import_loads_only_the_package_after_its_dependencies():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                             check=True)
     assert result.stdout.split() == [
-        "__future__", "bathlink", "bathlink._format", "bathlink._kernels", "bathlink.cli",
+        "__future__", "bathlink", "bathlink._format", "bathlink.cli",
         "bathlink.correlations", "bathlink.dynamics", "bathlink.errors", "bathlink.matops",
         "bathlink.model", "bathlink.witness",
     ]

@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from bathlink._kernels import conditional_entropy_grid
 from bathlink.correlations import (
+    conditional_entropy_grid,
     discord,
     mutual_information,
     negativity,

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import bathlink.dynamics as dynamics
+import bathlink.model as model
 from bathlink.correlations import discord, mutual_information, negativity
 from bathlink.dynamics import (
     HERM_TOL,
@@ -112,10 +115,31 @@ def test_evolve_rk_matches_stage_oracle(eta, steps, samples):
 def test_evolve_rk_stability_guard(canonical_liouvillian):
     with pytest.raises(StabilityError):
         evolve_rk(canonical_liouvillian, product_state(1.0, 0.0), 100.0, steps=1, samples=1)
-    # the guard reads S's radius: h max|eig S| = 2.0, though h max|eig D| = 0.045
+    # the guard reads D's radius, the matrix RK4 steps: h max|eig D| = 0.045,
+    # though h max|eig S| = 2.0; the RK4 truncation error at that h is 8e-10
     liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, 1.0, 100.0))
-    with pytest.raises(StabilityError):
-        evolve_rk(liou, product_state(1.0, 0.0), 1.0, steps=100, samples=1)
+    rk4 = evolve_rk(liou, product_state(1.0, 0.0), 1.0, steps=100, samples=1)
+    exact = evolve_exact(liou, product_state(1.0, 0.0), rk4.times)
+    assert max_abs_diff(rk4.states, exact.states) < 1e-8
+
+
+@pytest.mark.parametrize("omega", [0.001, 1e6])
+def test_evolve_rk_stability_guard_edge(omega):
+    # one step of h = t_max: refused where h times D's radius is 1, run one
+    # float below it, whatever omega
+    liou = build_liouvillian(ModelParams.from_rates(1.01, 0.01, 1.0, omega))
+    radius = float(np.abs(model._block_spectrum(liou.dissipator[None], np.zeros(1))).max())
+    h = 1.0 / radius
+    while h * radius < 1.0:
+        h = np.nextafter(h, np.inf)
+    while np.nextafter(h, 0.0) * radius >= 1.0:
+        h = np.nextafter(h, 0.0)
+    message = re.escape(f"times spectral radius {radius:.3e} is >= 1")
+    with pytest.raises(StabilityError, match=message):
+        evolve_rk(liou, product_state(1.0, 0.0), h, steps=1, samples=1)
+    below = np.nextafter(h, 0.0)
+    assert below * radius < 1.0
+    assert len(evolve_rk(liou, product_state(1.0, 0.0), below, steps=1, samples=1)) == 2
 
 
 def test_evolve_rk_invariants_of_the_stored_states(canonical_liouvillian):
@@ -339,8 +363,8 @@ def test_lab_frame_measures_do_not_depend_on_omega(gamma1, gamma2, eta, p, q, om
     for omega in (omega_a, omega_b):
         liou = build_liouvillian(ModelParams.from_rates(gamma1, gamma2, eta, omega))
         # D's order -k block is its order k block transposed, so shifting both
-        # by -i omega k cannot shrink the largest modulus: the guard on S's
-        # radius keeps rk4 on D stable
+        # by -i omega k cannot shrink the largest modulus: S's radius is at
+        # least D's, the one the rk4 guard reads
         radius = np.abs(np.linalg.eigvals(liou.dissipator)).max()
         assert liou.spectral_radius >= radius * (1.0 - 1e-12)
         rk4 = evolve_rk(liou, rho0, 4.0, steps=16400, samples=41)

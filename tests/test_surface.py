@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 
 import bathlink
+from bathlink import _kernels, correlations
 from bathlink.witness import report_for_product_state
 
 ORACLES = Path(__file__).resolve().with_name("oracles.py")
+PACKAGE = Path(bathlink.__file__).resolve().parent
 
 PUBLIC = [
     "ConfigError", "Correlations", "DegenerateSteadyStateError", "Liouvillian", "ModelParams",
@@ -72,6 +74,25 @@ def test_oracles_import_only_the_error_type_and_partial_transpose():
             assert not any(alias.name.split(".")[0] == "bathlink" for alias in node.names)
     assert imported == {"bathlink.errors.NumericalInvariantError",
                         "bathlink.matops.partial_transpose_second"}
+
+
+def test_kernels_module_is_only_the_harness_adapter():
+    # the discord search lives in one module; _kernels only re-exports its grid
+    # scan, the same object, for the benchmark harness, and nothing imports it
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(name.split(".")[-1] == "_kernels" for name in names), path.name
+    public = {name for name in vars(_kernels) if not name.startswith("_")}
+    assert public == {"active_backend", "conditional_entropy_grid"}
+    assert _kernels.conditional_entropy_grid is correlations.conditional_entropy_grid
 
 
 def test_oracles_load_by_file_path():
